@@ -4,9 +4,11 @@ character engines.
 Exponent vectors live in Z^(m+n): the first m slots are even (x = e^eps)
 coordinates, the last n odd (y = e^delta).  The alternation J, the normalized
 Weyl-type denominator, Kac characters, and the closed vertex-cone formula are
-all computed with exact integer/rational arithmetic; truncated geometric
-series stand in for the odd denominator factors, certified by re-running at a
-deeper truncation.
+all computed with exact integer/rational arithmetic.  Truncated geometric
+series stand in for the odd denominator factors; every step of such a series
+raises the odd degree by one, so a series ends exactly where it leaves the
+odd-degree slice the character needs, and a truncation depth too small to
+get there is refused with the exact depth that suffices.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import lcm
+from operator import add, sub
 
 from .capgraph import gamma, theta, theta_tilde
 from .caps import cap_diagram, segment_data
@@ -38,7 +42,9 @@ class ExactDivisionError(ArithmeticError):
 
 
 class TruncationInstability(RuntimeError):
-    """Deepening the series truncation changed the output."""
+    """The series truncation depth is below the exact bound: some geometric
+    series would be cut short while its next term still lies in the odd-degree
+    slice.  suggested_depth is the smallest depth that cuts none."""
 
     def __init__(self, message: str, suggested_depth: int):
         super().__init__(message)
@@ -261,12 +267,30 @@ def _signed_perms(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 def _sort_desc_signed(seq: Vec) -> tuple[int, Vec | None]:
     """(sign, strictly decreasing rearrangement), or (0, None) on a repeat."""
-    if len(set(seq)) != len(seq):
-        return 0, None
-    order = sorted(range(len(seq)), key=lambda i: -seq[i])
-    inv = sum(1 for a in range(len(order)) for b in range(a + 1, len(order))
-              if order[a] > order[b])
-    return (-1 if inv % 2 else 1), tuple(seq[i] for i in order)
+    inv = 0
+    for a, x in enumerate(seq):
+        for y in seq[a + 1:]:
+            if x < y:
+                inv += 1
+            elif x == y:
+                return 0, None
+    return (-1 if inv & 1 else 1), tuple(sorted(seq, reverse=True))
+
+
+def _fold(m: int, terms) -> dict[Vec, object]:
+    """Sum (vector, coefficient) pairs onto the strictly decreasing (per
+    block) representatives of their orbits, with the sign of the sorting
+    permutation; terms with a repeated entry in a block die."""
+    into: dict[Vec, object] = {}
+    for v, c in terms:
+        s1, eps = _sort_desc_signed(v[:m])
+        if s1 == 0:
+            continue
+        s2, delta = _sort_desc_signed(v[m:])
+        if s2 == 0:
+            continue
+        _acc(into, eps + delta, c if s1 == s2 else -c)
+    return into
 
 
 def alt_J(p: CharPoly) -> CharPoly:
@@ -277,15 +301,7 @@ def alt_J(p: CharPoly) -> CharPoly:
     representative is expanded over the full signed orbit.
     """
     m, n = p.m, p.n
-    folded: dict[Vec, object] = {}
-    for v, c in p.terms.items():
-        s1, eps = _sort_desc_signed(v[:m])
-        if s1 == 0:
-            continue
-        s2, delta = _sort_desc_signed(v[m:])
-        if s2 == 0:
-            continue
-        _acc(folded, eps + delta, c * s1 * s2)
+    folded = _fold(m, p.terms.items())
     out: dict[Vec, object] = {}
     perms_m = _signed_perms(m)
     perms_n = _signed_perms(n)
@@ -369,6 +385,81 @@ def weyl0_character(chi: HighestWeight) -> CharPoly:
     for ve, ce in _schur_block(chi.lam):
         for vd, cd in _schur_block(chi.mu):
             out[ve + vd] = ce * cd
+    return CharPoly(m, n, out)
+
+
+# ---------------------------------------------------------------------------
+# the alternation tail shared by the formula engine and the lattice oracle
+
+@lru_cache(maxsize=None)
+def _q_by_odd_degree(m: int, n: int
+                     ) -> tuple[tuple[tuple[Vec, tuple[tuple[Vec, int], ...]], ...], ...]:
+    """Terms of the odd factor grouped by odd degree, then by even part:
+    entry k (0 <= k <= m*n) holds (even part, ((odd part, coeff), ...)) for
+    the terms whose odd exponents sum to k."""
+    groups: list[dict[Vec, list[tuple[Vec, int]]]] = [{} for _ in range(m * n + 1)]
+    for v, c in q_odd_product(m, n).terms.items():
+        groups[sum(v[m:])].setdefault(v[:m], []).append((v[m:], c))
+    return tuple(tuple((qe, tuple(odd)) for qe, odd in g.items()) for g in groups)
+
+
+def alternate_tail(m: int, n: int, num: dict[Vec, object],
+                   slice_lo: int, slice_hi: int) -> CharPoly:
+    """J(num * Q) restricted to odd degree [slice_lo, slice_hi], divided by
+    e^rho * prod_even (1 - e^{-alpha}), the numerator of the normalized
+    denominator pair.
+
+    Q (the odd factor) is W0-invariant and the slice is W0-stable, so
+    J(num) * Q = J(fold(num) * Q): the numerator is folded onto strictly
+    decreasing representatives before Q is touched, only Q's terms whose odd
+    degree keeps the product inside the slice are visited, and the product
+    is folded again, one block at a time.  A folded term e^omega contributes
+    J(e^omega) / (e^rho prod(1 - e^{-alpha})), the product of the two Laurent
+    Schur blocks of highest weight omega - rho.  Coefficients are scaled to
+    integers for the tail and divided back once at the end.
+    """
+    scale = 1
+    for c in num.values():
+        if isinstance(c, Fraction):
+            scale = lcm(scale, c.denominator)
+    folded = _fold(m, ((v, int(c * scale)) for v, c in num.items()))
+
+    by_degree = _q_by_odd_degree(m, n)
+    omegas: dict[Vec, int] = {}
+    for v, c in folded.items():
+        ve, vd = v[:m], v[m:]
+        d = sum(vd)
+        odd_folds: dict[Vec, tuple[int, Vec | None]] = {}
+        for k in range(max(0, slice_lo - d), min(m * n, slice_hi - d) + 1):
+            for qe, odd_terms in by_degree[k]:
+                se, re = _sort_desc_signed(tuple(map(add, ve, qe)))
+                if not se:
+                    continue
+                for qd, qc in odd_terms:
+                    fd = odd_folds.get(qd)
+                    if fd is None:
+                        fd = odd_folds[qd] = _sort_desc_signed(tuple(map(add, vd, qd)))
+                    if fd[0]:
+                        w = re + fd[1]
+                        omegas[w] = omegas.get(w, 0) + (c * qc if se == fd[0] else -c * qc)
+
+    # group by the even block so each even Schur block is expanded once
+    rho = rho_exponent(m, n)
+    odd_parts: dict[Vec, dict[Vec, int]] = {}
+    for w, c in omegas.items():
+        if not c:
+            continue
+        lam = tuple(map(sub, w[:m], rho[:m]))
+        inner = odd_parts.setdefault(lam, {})
+        for vd, cd in _schur_block(tuple(map(sub, w[m:], rho[m:]))):
+            _acc(inner, vd, c * cd)
+    out: dict[Vec, object] = {}
+    for lam, inner in odd_parts.items():
+        for ve, ce in _schur_block(lam):
+            for vd, cd in inner.items():
+                _acc(out, ve + vd, ce * cd)
+    if scale != 1:
+        out = {v: Fraction(c, scale) for v, c in out.items()}
     return CharPoly(m, n, out)
 
 
@@ -584,7 +675,9 @@ def root_data(chi: HighestWeight) -> RootData:
 
 def auto_depth(chi: HighestWeight) -> int:
     """Default series truncation: the spread from the largest shifted label
-    down to the smallest cross, plus m*n plus slack."""
+    down to the smallest cross, plus m*n plus slack.  It has to reach the
+    exact series bound of irreducible_char, which the tests check for both
+    variants on every dominant weight with entries in [-3, 3] up to gl(3|3)."""
     f = diagram_of_weight(chi)
     crosses = f.crosses
     spread = (max(ab_from_diagram(f).A) - min(crosses)) if crosses else 0
@@ -597,22 +690,21 @@ def irreducible_char(chi: HighestWeight, variant: str = "classic",
 
     variant 'classic' sums over every spanning subgraph of the nesting
     forest; 'reduced' keeps only non-special edges and compensates with the
-    segment shift.  The odd denominators are expanded as truncated geometric
-    series; the result must be identical at depth and depth + 5 or a
-    TruncationInstability is raised.
+    segment shift.  The odd denominators are expanded as geometric series
+    truncated at depth.  Each series step raises the odd degree by exactly
+    one, so the series bound (the top of the odd-degree slice minus the
+    smallest odd degree of the numerator) is the exact depth below which some
+    series is cut short while its next term still lies in the slice.  At or
+    above it the result equals the untruncated one; below it
+    TruncationInstability is raised with the bound as suggested_depth.
+    auto_depth never falls below it.
     """
     if variant not in ("classic", "reduced"):
         raise ValueError(f"unknown variant {variant!r}")
     depth_val = auto_depth(chi) if depth == "auto" else int(depth)
     if depth_val < 0:
         raise ValueError("depth must be non-negative")
-    first = _engine(chi, variant, depth_val)
-    again = _engine(chi, variant, depth_val + 5)
-    if first != again:
-        raise TruncationInstability(
-            f"character changed between depth {depth_val} and {depth_val + 5}",
-            suggested_depth=depth_val + 5)
-    return first
+    return _engine(chi, variant, depth_val)
 
 
 def engine_summand_count(chi: HighestWeight, variant: str = "classic") -> int:
@@ -626,7 +718,10 @@ def engine_summand_count(chi: HighestWeight, variant: str = "classic") -> int:
     return len(reduced_subgraphs(forest, segment_data(f)))
 
 
-def _engine(chi: HighestWeight, variant: str, depth: int) -> CharPoly:
+def _numerator(chi: HighestWeight, variant: str
+               ) -> tuple[dict[Vec, object], tuple[Vec, ...], int, int]:
+    """e^top * theta(-e^alpha) before the geometric series: its terms, the
+    atypical roots whose series follow, and the odd-degree slice."""
     m, n = chi.m, chi.n
     f = diagram_of_weight(chi)
     rd = root_data(chi)
@@ -651,11 +746,9 @@ def _engine(chi: HighestWeight, variant: str, depth: int) -> CharPoly:
 
     top = chi_plus_rho_exponent(chi)
     base_delta = sum(top[m:])
-    slice_lo, slice_hi = base_delta, base_delta + m * n
     top = tuple(t + sum(s * a[k] for s, a in zip(shift_coeffs, rd.s_chi))
                 for k, t in enumerate(top))
 
-    # numerator: e^top * theta(-e^alpha) expanded over the truncated series
     num: dict[Vec, object] = {}
     for exps, coeff in th.terms.items():
         vec = list(top)
@@ -664,33 +757,33 @@ def _engine(chi: HighestWeight, variant: str, depth: int) -> CharPoly:
                 vec[k] += e * rd.s_chi[i][k]
         sign = -1 if sum(exps) % 2 else 1
         _acc(num, tuple(vec), coeff * sign * global_sign)
+    return num, rd.s_chi, base_delta, base_delta + m * n
 
-    for i in range(r):
-        alpha = rd.s_chi[i]
+
+def _engine(chi: HighestWeight, variant: str, depth: int) -> CharPoly:
+    m, n = chi.m, chi.n
+    num, alphas, slice_lo, slice_hi = _numerator(chi, variant)
+    if alphas:
+        bound = slice_hi - min(sum(v[m:]) for v in num)
+        if depth < bound:
+            raise TruncationInstability(
+                f"depth {depth} cuts a geometric series short inside the "
+                f"odd-degree slice",
+                suggested_depth=bound)
+
+    # each step vec -= alpha (alpha = eps_i - delta_j) raises the odd degree
+    # by one, so a series runs from a term's odd degree up to slice_hi
+    for alpha in alphas:
         nxt: dict[Vec, object] = {}
         for v, c in num.items():
             vec = list(v)
-            for j in range(depth + 1):
-                w = tuple(vec)
-                if sum(w[m:]) > slice_hi:
-                    break
-                _acc(nxt, w, c if j % 2 == 0 else -c)
+            for _ in range(slice_hi - sum(v[m:]) + 1):
+                _acc(nxt, tuple(vec), c)
+                c = -c
                 for k in range(m + n):
                     vec[k] -= alpha[k]
         num = nxt
-
-    s = alt_J(CharPoly(m, n, num))
-    t: dict[Vec, object] = {}
-    for v, c in s.terms.items():
-        for qv, qc in q_odd_product(m, n).terms.items():
-            w = tuple(a + b for a, b in zip(v, qv))
-            ds = sum(w[m:])
-            if slice_lo <= ds <= slice_hi:
-                _acc(t, w, c * qc)
-    result = CharPoly(m, n, t)
-    for alpha in even_positive_roots(m, n):
-        result = divide_exact(result, alpha)
-    return result.shift(tuple(-x for x in rho_exponent(m, n)))
+    return alternate_tail(m, n, num, slice_lo, slice_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -194,9 +194,8 @@ def cmd_char(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    f = diagram_of_weight(chi)
-    th = theta(gamma(cap_diagram(f)))
     if args.format == "json":
+        th = theta(gamma(cap_diagram(diagram_of_weight(chi))))
         payload = {
             "m": chi.m, "n": chi.n,
             "lambda": list(chi.lam), "mu": list(chi.mu),

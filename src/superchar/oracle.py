@@ -17,13 +17,9 @@ from .charring import (
     CharPoly,
     Window,
     _acc,
-    alt_J,
-    divide_exact,
-    even_positive_roots,
+    alternate_tail,
     kac_char_window,
     pi_map,
-    q_odd_product,
-    rho_exponent,
 )
 from .latticegen import OrderPolyhedron, enumerate_lattice
 from .weights import CROSS, GREATER, LESS, WeightDiagram, weight_from_diagram
@@ -208,18 +204,7 @@ def oracle_char_lattice(f: WeightDiagram, window: Window,
         if sum(vec[m:]) > slice_hi:
             continue
         _acc(total, tuple(vec), sgn)
-    t = alt_J(CharPoly(m, n, total))
-    folded: dict[tuple[int, ...], object] = {}
-    for v, c in t.terms.items():
-        for qv, qc in q_odd_product(m, n).terms.items():
-            w = tuple(a + b for a, b in zip(v, qv))
-            if slice_lo <= sum(w[m:]) <= slice_hi:
-                _acc(folded, w, c * qc)
-    result = CharPoly(m, n, folded)
-    for alpha in even_positive_roots(m, n):
-        result = divide_exact(result, alpha)
-    result = result.shift(tuple(-x for x in rho_exponent(m, n)))
-    return result.restrict(window)
+    return alternate_tail(m, n, total, slice_lo, slice_hi).restrict(window)
 
 
 def _b_list(f: WeightDiagram) -> list[int]:

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the library's own algorithms:
 cap ends come from a stack matcher, extension counts from filtering raw
 permutations, Schur weights from semistandard tableaux, lattice points from
-plain nested loops.
+plain nested loops, the alternation tail from full-orbit expansion and exact
+division instead of folding and Schur-block assembly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,14 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from superchar.charring import (
+    CharPoly,
+    alt_J,
+    divide_exact,
+    even_positive_roots,
+    q_odd_product,
+    rho_exponent,
+)
 from superchar.weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram
 
 
@@ -168,3 +177,14 @@ def brute_lattice_points(bounds, chains, cutoff):
         if all(point[i] <= point[j] for i, j in chains):
             out.append(point)
     return sorted(out)
+
+
+def tail_by_division(m, n, num, slice_lo, slice_hi):
+    """The alternation tail the long way round: expand J over the full W0
+    orbit, multiply by the whole odd factor, keep the odd-degree slice, divide
+    by every even positive root and unshift by rho."""
+    t = (alt_J(CharPoly(m, n, num)) * q_odd_product(m, n)).delta_sum_slice(
+        slice_lo, slice_hi)
+    for alpha in even_positive_roots(m, n):
+        t = divide_exact(t, alpha)
+    return t.shift(tuple(-x for x in rho_exponent(m, n)))

@@ -306,3 +306,10 @@ def test_q_odd_product_symmetry():
     assert q.coefficient((0, 0, 0, 0)) == 1
     assert q.coefficient((-2, -2, 2, 2)) == 1  # all four odd factors taken
     assert dimension_eval(q) == 2 ** 4
+
+
+def test_gl43_trivial_module():
+    chi = HighestWeight(4, 3, (0, 0, 0, 0), (0, 0, 0))
+    ch = irreducible_char(chi)
+    assert ch == CharPoly.monomial(4, 3, (0,) * 7)
+    assert dimension_eval(ch) == 1

@@ -1,0 +1,96 @@
+"""The shared alternation tail and the exact truncation witness of the
+formula engine."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from superchar.charring import (
+    TruncationInstability,
+    _numerator,
+    alternate_tail,
+    auto_depth,
+    irreducible_char,
+)
+from superchar.weights import HighestWeight
+
+from helpers import dominant_weights, tail_by_division
+
+SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3)]
+
+
+def _random_numerator(rng, m, n, fractions):
+    num = {}
+    for _ in range(rng.randint(1, 8)):
+        v = tuple(rng.randint(-3, 3) for _ in range(m + n))
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        if fractions:
+            c = Fraction(c, rng.choice([1, 2, 3, 6]))
+        num[v] = num.get(v, 0) + c
+    return {v: c for v, c in num.items() if c != 0}
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_alternate_tail_matches_division_route(m, n, fractions):
+    rng = random.Random(1000 * m + 10 * n + fractions)
+    trials = 2 if m * n == 9 else 6
+    for _ in range(trials):
+        num = _random_numerator(rng, m, n, fractions)
+        lo = rng.randint(-3 * n, 2 * n)
+        hi = lo + rng.randint(0, m * n)
+        assert (alternate_tail(m, n, num, lo, hi)
+                == tail_by_division(m, n, num, lo, hi)), (num, lo, hi)
+
+
+def _series_bound(chi, variant):
+    """slice_hi minus the smallest odd degree of the initial numerator, or
+    None when the reduced variant does not cover the weight."""
+    try:
+        num, _, _, slice_hi = _numerator(chi, variant)
+    except ValueError:
+        return None
+    return slice_hi - min(sum(v[chi.m:]) for v in num)
+
+
+def test_series_bound_within_auto_depth():
+    pairs = 0
+    for m, n in [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]:
+        for chi in dominant_weights(m, n, -3, 3):
+            for variant in ("classic", "reduced"):
+                bound = _series_bound(chi, variant)
+                if bound is None:
+                    continue
+                assert bound <= auto_depth(chi), (chi, variant, bound)
+                pairs += 1
+    assert pairs > 20000
+
+
+WITNESS_CASES = dominant_weights(2, 2, -1, 1) + [
+    HighestWeight(3, 2, (1, 1, 0), (0, -1)),
+    HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3)),
+    HighestWeight(3, 3, (2, 2, 2), (-2, -2, -2)),
+    HighestWeight(3, 3, (3, 3, 3), (-3, -3, -3)),
+]
+
+
+@pytest.mark.parametrize("variant", ["classic", "reduced"])
+def test_witness_is_exact_at_the_bound(variant):
+    checked = 0
+    for chi in WITNESS_CASES:
+        bound = _series_bound(chi, variant)
+        if bound is None:
+            continue
+        _, alphas, _, _ = _numerator(chi, variant)
+        if not alphas:
+            # typical weight: no series, so no depth can cut one
+            assert irreducible_char(chi, variant, depth=0) == irreducible_char(chi, variant)
+            continue
+        with pytest.raises(TruncationInstability) as exc:
+            irreducible_char(chi, variant, depth=bound - 1)
+        assert exc.value.suggested_depth == bound, chi
+        assert (irreducible_char(chi, variant, depth=bound)
+                == irreducible_char(chi, variant)), chi
+        checked += 1
+    assert checked >= 5
