@@ -159,9 +159,14 @@ def linear_extensions_hook(forest: Forest) -> int:
 
 def linear_extensions_dp(forest: Forest) -> int:
     """Topological-sort count by dynamic programming over down-sets."""
-    verts = forest.vertices
+    return _downset_count(forest.vertices, forest.edges)
+
+
+def _downset_count(verts: tuple[int, ...], edges) -> int:
+    """Orderings of verts with i before j for every edge (i, j), counted over
+    the down-sets already placed; a directed cycle raises ValueError."""
     preds: dict[int, set[int]] = {v: set() for v in verts}
-    for i, j in forest.edges:
+    for i, j in edges:
         preds[j].add(i)
 
     @lru_cache(maxsize=None)
@@ -173,7 +178,7 @@ def linear_extensions_dp(forest: Forest) -> int:
             if v in placed or not preds[v] <= placed:
                 continue
             total += count(placed | {v})
-        if total == 0 and len(placed) < len(verts):
+        if total == 0:
             raise ValueError("graph has a directed cycle")
         return total
 
@@ -318,27 +323,7 @@ class MixedForest:
     edges: frozenset[Edge]
 
     def extension_count(self) -> int:
-        verts = tuple(range(len(self.labels)))
-        preds: dict[int, set[int]] = {v: set() for v in verts}
-        for i, j in self.edges:
-            preds[j].add(i)
-
-        @lru_cache(maxsize=None)
-        def count(placed: frozenset) -> int:
-            if len(placed) == len(verts):
-                return 1
-            total = 0
-            for v in verts:
-                if v in placed or not preds[v] <= placed:
-                    continue
-                total += count(placed | {v})
-            if total == 0:
-                raise ValueError("graph has a directed cycle")
-            return total
-
-        result = count(frozenset())
-        count.cache_clear()
-        return result
+        return _downset_count(tuple(range(len(self.labels))), self.edges)
 
 
 def theta_tilde(forest: Forest, sd: SegmentData,

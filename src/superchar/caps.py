@@ -8,6 +8,7 @@ consecutive crosses (segments) feed the reduced character formula.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .weights import CROSS, WeightDiagram
@@ -69,40 +70,21 @@ def _caps_greedy(f: WeightDiagram) -> dict[int, int]:
     return cap_end
 
 
-def _caps_by_counting(f: WeightDiagram) -> dict[int, int]:
-    """First circle c right of the cross with equally many crosses and circles
-    strictly between (core symbols do not count)."""
-    cap_end: dict[int, int] = {}
-    for a in f.crosses:
-        crosses_between = 0
-        circles_between = 0
-        c = a + 1
-        while True:
-            if f.is_circle(c):
-                if crosses_between == circles_between:
-                    cap_end[a] = c
-                    break
-                circles_between += 1
-            elif f.symbol(c) == CROSS:
-                crosses_between += 1
-            c += 1
-    return cap_end
-
-
 def cap_diagram(f: WeightDiagram) -> CapForest:
-    """Build the cap diagram; both classical constructions must agree."""
-    greedy = _caps_greedy(f)
-    counted = _caps_by_counting(f)
-    assert greedy == counted, (
-        f"cap constructions disagree on {f!r}: {greedy} vs {counted}")
+    """Build the cap diagram from the greedy construction.
+
+    The tests compare it with an independent stack-matching construction on
+    random diagrams and on every diagram of a five-position window.
+    """
+    cap_end = _caps_greedy(f)
     crosses = f.crosses
     parent: dict[int, int | None] = {}
     for b in crosses:
         # tightest enclosing cap, if any
         enclosing = [a for a in crosses
-                     if a < b and greedy[b] < greedy[a]]
+                     if a < b and cap_end[b] < cap_end[a]]
         parent[b] = max(enclosing) if enclosing else None
-    return CapForest(crosses, greedy, parent)
+    return CapForest(crosses, cap_end, parent)
 
 
 def precedes(cf: CapForest, a: int, b: int) -> bool:
@@ -117,7 +99,10 @@ def sigma_swap(f: WeightDiagram, swap: set[int] | frozenset[int]) -> WeightDiagr
     crosses = set(f.crosses)
     if not swap <= crosses:
         raise ValueError(f"{sorted(set(swap) - crosses)} are not crosses of the diagram")
-    cf = cap_diagram(f)
+    return _swap(f, cap_diagram(f), swap)
+
+
+def _swap(f: WeightDiagram, cf: CapForest, swap: Iterable[int]) -> WeightDiagram:
     symbols = f.symbols
     for c in swap:
         del symbols[c]
@@ -127,11 +112,12 @@ def sigma_swap(f: WeightDiagram, swap: set[int] | frozenset[int]) -> WeightDiagr
 
 def projective_family(f: WeightDiagram) -> set[WeightDiagram]:
     """All 2^r diagrams obtained by swapping a subset of crosses with cap ends."""
-    crosses = f.crosses
+    cf = cap_diagram(f)
+    crosses = cf.crosses
     family: set[WeightDiagram] = set()
     for mask in range(1 << len(crosses)):
-        chosen = {crosses[i] for i in range(len(crosses)) if mask >> i & 1}
-        family.add(sigma_swap(f, chosen))
+        family.add(_swap(f, cf, [crosses[i] for i in range(len(crosses))
+                                 if mask >> i & 1]))
     assert len(family) == 1 << len(crosses)
     return family
 

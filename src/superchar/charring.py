@@ -529,31 +529,15 @@ def schur_window(lam: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # Kac characters
 
-def kac_char(f: WeightDiagram, check: bool = True) -> CharPoly:
-    """Character of the Kac module of a diagram.
+def kac_char(f: WeightDiagram) -> CharPoly:
+    """Character of the Kac module of a diagram: the odd exterior factor times
+    the even-block character.
 
-    Product route: odd exterior factor times the even-block character.  With
-    check=True the alternant route (divide the shifted alternant by the
-    normalized denominator) is recomputed and both must agree.
+    The alternant form (the shifted alternant divided by the normalized
+    denominator) is checked against it by `verify --only kac` and the tests.
     """
     chi = weight_from_diagram(f)
-    m, n = chi.m, chi.n
-    product_route = weyl0_character(chi) * q_odd_product(m, n)
-    if check:
-        alternant_route = _kac_by_division(chi)
-        assert product_route == alternant_route, (
-            "Kac character normalization mismatch; the denominator "
-            "convention is broken")
-    return product_route
-
-
-def _kac_by_division(chi: HighestWeight) -> CharPoly:
-    m, n = chi.m, chi.n
-    omega = chi_plus_rho_exponent(chi)
-    t = alt_J(CharPoly.monomial(m, n, omega)) * q_odd_product(m, n)
-    for alpha in even_positive_roots(m, n):
-        t = divide_exact(t, alpha)
-    return t.shift(tuple(-x for x in rho_exponent(m, n)))
+    return weyl0_character(chi) * q_odd_product(chi.m, chi.n)
 
 
 def kac_char_window(f: WeightDiagram, window: Window) -> CharPoly:

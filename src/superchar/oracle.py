@@ -3,6 +3,9 @@ filtration-convergent sum of Kac characters indexed by order-preserving
 injections of the crosses.
 
 Every result of the closed formula engines is checked against this expansion.
+Inside a window the sum is finite: a proved per-value cutoff (the block-sum
+bound of `oracle_char`) drops exactly the relocations whose Kac characters
+cannot reach the window, so one enumeration gives the exact windowed result.
 A second route sums plain alternants over the lattice points of the order
 polyhedron and must agree; the two routes carry independently coded sign
 conventions.
@@ -26,7 +29,12 @@ from .weights import CROSS, GREATER, LESS, WeightDiagram, weight_from_diagram
 
 
 class OracleInstability(RuntimeError):
-    """Deepening the enumeration cutoff changed the windowed result."""
+    """An explicit enumeration cutoff lies above the proved bound of
+    oracle_char, so a relocation that reaches the window may be left out.
+
+    suggested_cutoff is the bound itself, the cutoff oracle_char uses by
+    default.
+    """
 
     def __init__(self, message: str, suggested_cutoff: int):
         super().__init__(message)
@@ -105,18 +113,16 @@ def epsilon_sign(f: WeightDiagram, wm: WeightMap) -> int:
 
 
 def _suggested_cutoff(f: WeightDiagram, window: Window) -> int:
-    """Sound per-value cutoff: a relocation with any value below it cannot
-    contribute inside the window, by the block-sum invariant."""
+    """The proved cutoff bound of oracle_char for a diagram with crosses: no
+    relocation with a value below it can contribute inside the window."""
     crosses = f.crosses
-    if not crosses:
-        return 0
     m = f.m
     # Kac character terms have even-block sum in [sum(lam(g)) - m*n, sum(lam(g))],
     # with sum(lam(g)) = sum(values) + sum(core '>') + m(m-1)/2.
     window_lo = sum(lo for lo, _ in window.eps)
     a_core = sum(f.greater_positions)
     value_sum_lo = window_lo - m * (m - 1) // 2 - a_core
-    return value_sum_lo - (sum(crosses) - min(crosses)) - 1
+    return min(value_sum_lo - (sum(crosses) - min(crosses)) - 1, min(crosses))
 
 
 def _window_reachable(g: WeightDiagram, window: Window) -> bool:
@@ -139,20 +145,35 @@ def _window_reachable(g: WeightDiagram, window: Window) -> bool:
 
 def oracle_char(f: WeightDiagram, window: Window,
                 cutoff: int | None = None) -> CharPoly:
-    """Signed sum of Kac characters over all relocations with values above the
-    cutoff, restricted to the window; recomputed three deeper and required to
-    agree."""
+    """Signed sum of Kac characters over all relocations with values at or
+    above the cutoff, restricted to the window.
+
+    The default cutoff is the bound B = _suggested_cutoff(f, window), and it
+    is exact.  B is min(value_sum_lo - (sum(crosses) - min(crosses)) - 1,
+    min(crosses)), where value_sum_lo is the lowest value sum whose image can
+    reach the window's lowest even-block sum.  Take a relocation with some
+    value v < B.  Every other value is at most its own cross, so the value
+    sum is at most v + sum(crosses) - min(crosses) < value_sum_lo.  The image
+    diagram g then has sum(lam(g)) = sum(values) + sum(core '>') + m(m-1)/2
+    below the window's lowest even-block sum, while every term of ch K(g) has
+    even-block sum at most sum(lam(g)).  So its Kac character misses the
+    window (the first test of _window_reachable), and the relocations with
+    all values >= B give the whole windowed sum.  Any cutoff <= B gives the
+    same result; an explicit cutoff above B raises OracleInstability with
+    suggested_cutoff = B.  A diagram without crosses has one relocation, the
+    empty one, and never raises.
+    """
+    if not f.crosses:
+        return _oracle_sum(f, window, 0)
+    bound = _suggested_cutoff(f, window)
     if cutoff is None:
-        cutoff = _suggested_cutoff(f, window)
-        if f.crosses:
-            cutoff = min(cutoff, min(f.crosses))
-    first = _oracle_sum(f, window, cutoff)
-    again = _oracle_sum(f, window, cutoff - 3)
-    if first != again:
+        cutoff = bound
+    elif cutoff > bound:
         raise OracleInstability(
-            f"windowed expansion changed between cutoff {cutoff} and {cutoff - 3}",
-            suggested_cutoff=cutoff - 3)
-    return first
+            f"cutoff {cutoff} lies above the proved bound {bound}; "
+            f"relocations between them may reach the window",
+            suggested_cutoff=bound)
+    return _oracle_sum(f, window, cutoff)
 
 
 def _oracle_sum(f: WeightDiagram, window: Window, cutoff: int) -> CharPoly:

@@ -170,7 +170,7 @@ def test_criterion_4_kac_identity():
         num, den = dhat_denominator(m, n)
         for chi in dominant_weights(m, n, -3, 3):
             f = diagram_of_weight(chi)
-            lhs = num * kac_char(f, check=False)
+            lhs = num * kac_char(f)
             rhs = alt_J(CharPoly.monomial(m, n, chi_plus_rho_exponent(chi))) * den
             assert lhs == rhs, chi
             checked += 1
@@ -234,9 +234,9 @@ def test_criterion_8_structural_properties(corpus):
         dim = dimension_eval(ch)
         assert dim > 0, chi
         if not f.crosses:
-            assert ch == kac_char(f, check=False), chi
+            assert ch == kac_char(f), chi
         checked += 1
-    # truncation stability at explicit depths (auto already re-runs +5)
+    # truncation stability: depths at and past auto give the same character
     for chi in [HighestWeight(2, 2, (1, 1), (-1, -1)), GL33_EXAMPLE]:
         from superchar.charring import auto_depth
 

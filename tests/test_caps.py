@@ -44,7 +44,7 @@ def test_cap_constructions_agree_on_corpus():
     rng = random.Random(11)
     for _ in range(200):
         f = random_diagram(rng, lo=0, hi=8, r_max=4)
-        cf = cap_diagram(f)  # asserts both constructions agree internally
+        cf = cap_diagram(f)
         assert cf.cap_end == stack_cap_ends(f)
 
 

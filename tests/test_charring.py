@@ -35,7 +35,12 @@ from superchar.charring import (
 )
 from superchar.weights import CROSS, HighestWeight, WeightDiagram, diagram_of_weight
 
-from helpers import dominant_weights, ssyt_weight_multiplicities, weyl_dimension
+from helpers import (
+    dominant_weights,
+    ssyt_weight_multiplicities,
+    tail_by_division,
+    weyl_dimension,
+)
 
 
 def test_alt_j_kills_repeats():
@@ -81,7 +86,7 @@ def test_dhat_times_kac_is_alternant():
         num, den = dhat_denominator(m, n)
         for chi in dominant_weights(m, n, -2, 2):
             f = diagram_of_weight(chi)
-            lhs = num * kac_char(f, check=False)
+            lhs = num * kac_char(f)
             rhs = alt_J(CharPoly.monomial(m, n, chi_plus_rho_exponent(chi))) * den
             assert lhs == rhs, chi
 
@@ -95,15 +100,20 @@ def test_kac_gl11_typical():
 def test_kac_dimension_formula():
     for chi in dominant_weights(2, 2, -1, 1):
         f = diagram_of_weight(chi)
-        dim = dimension_eval(kac_char(f, check=False))
+        dim = dimension_eval(kac_char(f))
         expected = 2 ** 4 * weyl_dimension(chi.lam) * weyl_dimension(chi.mu)
         assert dim == expected
 
 
 def test_kac_both_routes_checked():
-    # check=True exercises the alternant route against the product route
+    # the product route against the alternant route: J(e^(chi+rho)) times the
+    # odd factor, divided by the even roots, over the whole odd-degree range
     for chi in dominant_weights(2, 1, -2, 2)[:20]:
-        kac_char(diagram_of_weight(chi), check=True)
+        m, n = chi.m, chi.n
+        top = chi_plus_rho_exponent(chi)
+        d = sum(top[m:])
+        assert kac_char(diagram_of_weight(chi)) == tail_by_division(
+            m, n, {top: 1}, d, d + m * n), chi
 
 
 def test_kac_gl21_term_count():
@@ -143,7 +153,7 @@ def test_kac_window_matches_restriction():
     weights = dominant_weights(2, 2, -2, 2)
     for chi in rng.sample(weights, 25):
         f = diagram_of_weight(chi)
-        full = kac_char(f, check=False)
+        full = kac_char(f)
         window = Window(((-1, 2), (-2, 1)), ((-1, 2), (-2, 3)))
         assert kac_char_window(f, window) == full.restrict(window)
 
@@ -268,7 +278,7 @@ def test_depth_stability_explicit():
 def test_supersymmetry_examples():
     for chi in dominant_weights(2, 1, -1, 1):
         f = diagram_of_weight(chi)
-        assert supersymmetry_check(kac_char(f, check=False))
+        assert supersymmetry_check(kac_char(f))
     bad = CharPoly.monomial(2, 1, (1, 0, 0))
     assert not supersymmetry_check(bad)
     bad_symmetric = CharPoly(1, 1, {(1, 0): 1})

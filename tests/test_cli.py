@@ -207,14 +207,3 @@ def test_injected_sign_bug_fails_oracle_suite(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--only", "oracle")
     assert code == 4
     assert "FAIL" in out
-
-
-def test_thread_cap_env_validated(capsys, monkeypatch):
-    monkeypatch.setenv("SUPERCHAR_THREADS", "zero")
-    code, _, err = run(capsys, "char", "--m", "1", "--n", "1",
-                       "--lambda", "0", "--mu", "0")
-    assert code == 2
-    monkeypatch.setenv("SUPERCHAR_THREADS", "2")
-    code, _, _ = run(capsys, "char", "--m", "1", "--n", "1",
-                     "--lambda", "0", "--mu", "0")
-    assert code == 0

@@ -21,6 +21,8 @@ from superchar.oracle import (
     orthogonality_check,
     orthogonality_report,
     _chain_edges,
+    _suggested_cutoff,
+    _window_reachable,
 )
 from superchar.weights import (
     CROSS,
@@ -158,6 +160,41 @@ def test_oracle_instability_reported():
     window = Window(((2, 5),), ((-5, -2),))
     with pytest.raises(OracleInstability):
         oracle_char(f, window, cutoff=4)
+
+
+GL33_WEIGHTS = [HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3)),
+                HighestWeight(3, 3, (2, 2, 2), (-2, -2, -2)),
+                HighestWeight(3, 3, (3, 2, 2), (-1, -2, -3))]
+
+
+def _cutoff_cases():
+    """Atypical weights of the verify grids and of gl(3|3), each with its
+    hull window and the proved cutoff bound of oracle_char."""
+    weights = [chi for (m, n) in [(1, 1), (2, 1), (2, 2)]
+               for chi in dominant_weights(m, n, -2, 2)] + GL33_WEIGHTS
+    for chi in weights:
+        f = diagram_of_weight(chi)
+        if not f.crosses:
+            continue
+        window = Window.hull(irreducible_char(chi), margin=1)
+        yield chi, f, window, _suggested_cutoff(f, window)
+
+
+def test_relocations_below_cutoff_bound_miss_the_window():
+    below = 0
+    for chi, f, window, bound in _cutoff_cases():
+        for wm in enumerate_weight_maps(f, bound - 3):
+            if min(wm.phi.values()) < bound:
+                below += 1
+                assert not _window_reachable(wm.image_diagram(f), window), (chi, wm)
+    assert below  # the enumeration at bound - 3 does reach below the bound
+
+
+def test_cutoff_above_bound_raises_with_the_bound():
+    for chi, f, window, bound in _cutoff_cases():
+        with pytest.raises(OracleInstability) as info:
+            oracle_char(f, window, cutoff=bound + 1)
+        assert info.value.suggested_cutoff == bound, chi
 
 
 def test_oracle_agrees_with_engine_on_grid():
