@@ -21,7 +21,7 @@ from .charring import (
     supersymmetry_check,
 )
 from .oracle import OracleInstability, oracle_char, orthogonality_check
-from .weights import ABPair, HighestWeight, WeightDiagram, ab_sets, build_diagram, diagram_of_weight, rho
+from .weights import ABPair, HighestWeight, InvariantError, WeightDiagram, ab_sets, build_diagram, diagram_of_weight, rho
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,7 @@ __all__ = [
     "CharPoly",
     "Forest",
     "HighestWeight",
+    "InvariantError",
     "OracleInstability",
     "SegmentData",
     "ThetaPoly",

@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import factorial
 
 from .caps import CapForest, SegmentData
+from .weights import InvariantError
 
 Edge = tuple[int, int]
 
@@ -153,7 +154,9 @@ def linear_extensions_hook(forest: Forest) -> int:
     for v in forest.vertices:
         denom *= size(v)
     count, rem = divmod(factorial(forest.r), denom)
-    assert rem == 0
+    if rem:
+        raise InvariantError(
+            f"hook product {denom} does not divide {forest.r}!")
     return count
 
 

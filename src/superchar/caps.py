@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .weights import CROSS, WeightDiagram
+from .weights import CROSS, InvariantError, WeightDiagram
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,10 @@ def projective_family(f: WeightDiagram) -> set[WeightDiagram]:
     for mask in range(1 << len(crosses)):
         family.add(_swap(f, cf, [crosses[i] for i in range(len(crosses))
                                  if mask >> i & 1]))
-    assert len(family) == 1 << len(crosses)
+    if len(family) != 1 << len(crosses):
+        raise InvariantError(
+            f"projective family has {len(family)} members, "
+            f"not 2^{len(crosses)}")
     return family
 
 

@@ -529,42 +529,86 @@ def schur_window(lam: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # Kac characters
 
+def kac_sum(m: int, n: int, coeffs: dict[HighestWeight, int],
+            window: Window | None = None) -> CharPoly:
+    """Sum of c * ch K(chi) over a map chi -> c, restricted to a window if
+    one is given.
+
+    Every Kac character is the odd factor Q, the product over eps_i - delta_j
+    of (1 + e^{-(eps_i - delta_j)}), times the even-block character
+    ch L0(chi), so the sum is Q * (sum of c * ch L0(chi)): the even parts are
+    summed first and Q is applied once, one binomial at a time (i outer, j
+    inner), each term v adding v - eps_i + delta_j.
+
+    With a window, the terms that can no longer reach it are dropped after
+    every binomial, and the drop is exact.  Let rem_s be the number of
+    binomials not yet applied that touch slot s.  Even exponents only fall and
+    odd ones only rise, each by at most rem_s, so a term can reach the window
+    only if lo <= v_s <= hi + rem_s on every even slot and
+    lo - rem_s <= v_s <= hi on every odd slot; a term outside this box
+    contributes nothing inside the window.  At the start rem_s is n on the
+    even slots and m on the odd ones, so the even blocks are counted by
+    pattern counts (schur_window) on the window widened by n upwards and by m
+    downwards; after the last binomial every rem_s is 0, the box is the
+    window itself and no final restriction is needed.
+    """
+    terms: dict[Vec, int] = {}
+    if window is None:
+        for chi, c in coeffs.items():
+            for v, ce in weyl0_character(chi).terms.items():
+                _acc(terms, v, c * ce)
+        if not terms:
+            return CharPoly.zero(m, n)
+        # a box around the whole product, so nothing is ever dropped
+        lo = [min(v[s] for v in terms) - (n if s < m else 0) for s in range(m + n)]
+        hi = [max(v[s] for v in terms) + (0 if s < m else m) for s in range(m + n)]
+    else:
+        lo = [b for b, _ in window.eps + window.delta]
+        hi = [b for _, b in window.eps + window.delta]
+        eps_box = tuple((b, t + n) for b, t in window.eps)
+        delta_box = tuple((b - m, t) for b, t in window.delta)
+        for chi, c in coeffs.items():
+            s_eps = schur_window(chi.lam, eps_box)
+            if not s_eps:
+                continue
+            for vd, cd in schur_window(chi.mu, delta_box).items():
+                for ve, ce in s_eps.items():
+                    _acc(terms, ve + vd, c * ce * cd)
+
+    rem = [n] * m + [m] * n
+    for i in range(m):
+        for j in range(m, m + n):
+            rem[i] -= 1
+            rem[j] -= 1
+            top_i, bot_j = hi[i] + rem[i], lo[j] - rem[j]
+            lo_i, hi_j = lo[i], hi[j]
+            step = tuple(-1 if s == i else 1 if s == j else 0 for s in range(m + n))
+            out = {v: c for v, c in terms.items() if v[i] <= top_i and v[j] >= bot_j}
+            for v, c in terms.items():
+                if v[i] > lo_i and v[j] < hi_j:
+                    _acc(out, tuple(map(add, v, step)), c)
+            terms = out
+    return CharPoly(m, n, terms)
+
+
 def kac_char(f: WeightDiagram) -> CharPoly:
     """Character of the Kac module of a diagram: the odd exterior factor times
-    the even-block character.
+    the even-block character, applied one binomial at a time (kac_sum).
 
     The alternant form (the shifted alternant divided by the normalized
     denominator) is checked against it by `verify --only kac` and the tests.
     """
     chi = weight_from_diagram(f)
-    return weyl0_character(chi) * q_odd_product(chi.m, chi.n)
+    return kac_sum(chi.m, chi.n, {chi: 1})
 
 
 def kac_char_window(f: WeightDiagram, window: Window) -> CharPoly:
     """Kac character restricted to a box, computed without expanding the whole
     module: block multiplicities come from pattern counts on a widened box,
-    then the odd factor is convolved in."""
+    and terms that cannot reach the box are dropped after every odd binomial
+    (kac_sum)."""
     chi = weight_from_diagram(f)
-    m, n = chi.m, chi.n
-    q = q_odd_product(m, n)
-    # odd-factor exponents lie in [-n, 0] per even slot and [0, m] per odd slot
-    eps_box = tuple((lo, hi + n) for lo, hi in window.eps)
-    delta_box = tuple((lo - m, hi) for lo, hi in window.delta)
-    s_eps = schur_window(chi.lam, eps_box)
-    s_delta = schur_window(chi.mu, delta_box)
-    out: dict[Vec, object] = {}
-    for qv, qc in q.terms.items():
-        qe, qd = qv[:m], qv[m:]
-        for ve, ce in s_eps.items():
-            we = tuple(a + b for a, b in zip(ve, qe))
-            if any(not (lo <= x <= hi) for x, (lo, hi) in zip(we, window.eps)):
-                continue
-            for vd, cd in s_delta.items():
-                wd = tuple(a + b for a, b in zip(vd, qd))
-                if any(not (lo <= x <= hi) for x, (lo, hi) in zip(wd, window.delta)):
-                    continue
-                _acc(out, we + wd, qc * ce * cd)
-    return CharPoly(m, n, out)
+    return kac_sum(chi.m, chi.n, {chi: 1}, window)
 
 
 # ---------------------------------------------------------------------------

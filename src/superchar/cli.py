@@ -2,7 +2,7 @@
 theta polynomials, run the verification suites, export JSON or LaTeX.
 
 Exit codes: 0 success, 2 invalid input, 3 truncation instability,
-4 verification failure.
+4 verification failure or a violated internal invariant.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .oracle import OracleInstability, oracle_char, orthogonality_report
 from .weights import (
     ABPair,
     HighestWeight,
+    InvariantError,
     WeightDiagram,
     ab_from_diagram,
     build_diagram,
@@ -546,14 +547,13 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except OracleInstability as exc:
-        print(f"error: {exc} (suggested cutoff {exc.suggested_cutoff})",
-              file=sys.stderr)
-        return EXIT_INSTABILITY
     except TruncationInstability as exc:
         print(f"error: {exc} (retry with --depth {exc.suggested_depth})",
               file=sys.stderr)
         return EXIT_INSTABILITY
+    except InvariantError as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .capgraph import Edge, Forest, _component_min_vertex, linear_extensions, subgraphs
+from .weights import InvariantError
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,8 @@ def vertices(forest: Forest) -> list[tuple[Forest, tuple[int, ...]]]:
     for delta in subgraphs(forest):
         mins = _component_min_vertex(delta)
         point = tuple(delta.labels[mins[i]] for i in range(len(delta.labels)))
-        assert point not in seen, f"vertex {point} duplicated"
+        if point in seen:
+            raise InvariantError(f"vertex {point} duplicated")
         seen.add(point)
         out.append((delta, point))
     return out

@@ -6,6 +6,8 @@ Every result of the closed formula engines is checked against this expansion.
 Inside a window the sum is finite: a proved per-value cutoff (the block-sum
 bound of `oracle_char`) drops exactly the relocations whose Kac characters
 cannot reach the window, so one enumeration gives the exact windowed result.
+The Kac characters share their odd factor, so the signed even-block
+characters are summed first and the odd factor is applied once.
 A second route sums plain alternants over the lattice points of the order
 polyhedron and must agree; the two routes carry independently coded sign
 conventions.
@@ -21,11 +23,11 @@ from .charring import (
     Window,
     _acc,
     alternate_tail,
-    kac_char_window,
+    kac_sum,
     pi_map,
 )
 from .latticegen import OrderPolyhedron, enumerate_lattice
-from .weights import CROSS, GREATER, LESS, WeightDiagram, weight_from_diagram
+from .weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram, weight_from_diagram
 
 
 class OracleInstability(RuntimeError):
@@ -177,17 +179,16 @@ def oracle_char(f: WeightDiagram, window: Window,
 
 
 def _oracle_sum(f: WeightDiagram, window: Window, cutoff: int) -> CharPoly:
-    m, n = f.m, f.n
-    acc = CharPoly.zero(m, n)
+    """The windowed sum itself: relocation signs are accumulated per image
+    weight (equal images merge, cancelling ones drop), and the signed Kac
+    characters are summed in one kac_sum call, which applies the odd factor
+    once to the summed even-block characters."""
+    coeffs: dict[HighestWeight, int] = {}
     for wm in enumerate_weight_maps(f, cutoff):
         g = wm.image_diagram(f)
-        if not _window_reachable(g, window):
-            continue
-        part = kac_char_window(g, window)
-        if part.is_zero():
-            continue
-        acc = acc + part.scale(epsilon_sign(f, wm))
-    return acc
+        if _window_reachable(g, window):
+            _acc(coeffs, weight_from_diagram(g), epsilon_sign(f, wm))
+    return kac_sum(f.m, f.n, coeffs, window)
 
 
 def oracle_char_lattice(f: WeightDiagram, window: Window,

@@ -18,6 +18,11 @@ GREATER = ">"
 _SYMBOLS = (CROSS, LESS, GREATER)
 
 
+class InvariantError(RuntimeError):
+    """An invariant the constructions guarantee failed to hold: a bug, never
+    bad input.  Raised in place of an assert, which python -O would strip."""
+
+
 @dataclass(frozen=True)
 class HighestWeight:
     """Dominant integral weight of gl(m|n): lambda on the even block, mu on the odd one."""

@@ -23,6 +23,7 @@ from superchar.charring import (
     is_w0_symmetric,
     kac_char,
     kac_char_window,
+    kac_sum,
     odd_positive_roots,
     pi_map,
     q_odd_product,
@@ -156,6 +157,50 @@ def test_kac_window_matches_restriction():
         full = kac_char(f)
         window = Window(((-1, 2), (-2, 1)), ((-1, 2), (-2, 3)))
         assert kac_char_window(f, window) == full.restrict(window)
+
+
+def _random_kac_coeffs(rng, m, n):
+    weights = dominant_weights(m, n, -2, 2)
+    chosen = rng.sample(weights, rng.randint(1, 4))
+    return {chi: rng.choice((-2, -1, 1, 3)) for chi in chosen}
+
+
+KAC_SUM_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("m,n", KAC_SUM_SHAPES)
+def test_kac_sum_window_matches_restricted_sum(m, n):
+    rng = random.Random(100 * m + n)
+    hits = misses = 0
+    for k in range(12):
+        coeffs = _random_kac_coeffs(rng, m, n)
+        full = CharPoly.zero(m, n)
+        for chi, c in coeffs.items():
+            full = full + kac_char(diagram_of_weight(chi)).scale(c)
+        # an asymmetric box around a random term, every third one moved off
+        centre = rng.choice(sorted(full.terms)) if full.terms else (0,) * (m + n)
+        off = 9 if k % 3 == 2 else 0
+        box = [(x + off - rng.randint(0, 2), x + off + rng.randint(0, 3))
+               for x in centre]
+        window = Window(tuple(box[:m]), tuple(box[m:]))
+        expected = full.restrict(window)
+        hits += not expected.is_zero()
+        misses += expected.is_zero()
+        assert kac_sum(m, n, coeffs, window) == expected, (coeffs, window)
+    assert hits and misses
+
+
+@pytest.mark.parametrize("m,n", KAC_SUM_SHAPES)
+def test_kac_sum_matches_product_route(m, n):
+    # the reference multiplies whole CharPolys: even-block character times
+    # the expanded odd factor
+    rng = random.Random(7 * m + n)
+    for _ in range(6):
+        coeffs = _random_kac_coeffs(rng, m, n)
+        expected = CharPoly.zero(m, n)
+        for chi, c in coeffs.items():
+            expected = expected + (weyl0_character(chi) * q_odd_product(m, n)).scale(c)
+        assert kac_sum(m, n, coeffs) == expected, coeffs
 
 
 def test_ev_map_gl33():

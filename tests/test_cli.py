@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+import superchar
+import superchar.caps
 import superchar.cli as cli
 import superchar.oracle
+import superchar.weights
 
 
 def run(capsys, *argv):
@@ -124,6 +127,20 @@ def test_proj_counts(capsys):
                        "--lambda", "1,1", "--mu", "-1,-1")
     assert code == 0
     assert "4 diagrams" in out
+
+
+def test_invariant_violation_exits_4(capsys, monkeypatch):
+    # a swap that changes nothing collapses the projective family
+    monkeypatch.setattr(superchar.caps, "_swap", lambda f, cf, swap: f)
+    f = superchar.weights.diagram_of_weight(
+        superchar.weights.HighestWeight(2, 2, (1, 1), (-1, -1)))
+    with pytest.raises(superchar.InvariantError):
+        superchar.caps.projective_family(f)
+    code, _, err = run(capsys, "proj", "--m", "2", "--n", "2",
+                       "--lambda", "1,1", "--mu", "-1,-1")
+    assert code == 4
+    assert err.startswith("error: invariant violated: ")
+    assert err.count("\n") == 1
 
 
 def test_kac_command(capsys):

@@ -146,6 +146,25 @@ def test_oracle_typical_is_kac():
     assert oracle_char(f, window) == k
 
 
+def test_oracle_char_makes_one_kac_sum_call(monkeypatch):
+    import superchar.oracle as oracle_module
+
+    calls = []
+    real = oracle_module.kac_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_module, "kac_sum", counting)
+    chi = HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3))
+    ch = irreducible_char(chi)
+    assert oracle_char(diagram_of_weight(chi), Window.hull(ch)) == ch
+    assert len(calls) == 1
+    # many relocations reach the window, merged into one coefficient map
+    assert len(calls[0][2]) > 1
+
+
 def test_oracle_gl11_telescopes_to_monomial():
     chi = HighestWeight(1, 1, (4,), (-4,))
     f = diagram_of_weight(chi)
