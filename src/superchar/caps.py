@@ -27,7 +27,7 @@ class CapForest:
     parent: dict[int, int | None]
 
     def __post_init__(self):
-        _assert_noncrossing(self.crosses, self.cap_end)
+        _check_noncrossing(self.crosses, self.cap_end)
 
     def nested_under(self, a: int, b: int) -> bool:
         """True iff the cap of b lies strictly under the cap of a."""
@@ -42,10 +42,10 @@ class SegmentData:
     tilde_c: dict[int, int]
 
 
-def _assert_noncrossing(crosses, cap_end) -> None:
+def _check_noncrossing(crosses, cap_end) -> None:
     for a in crosses:
         if cap_end[a] <= a:
-            raise AssertionError(f"cap end {cap_end[a]} not right of cross {a}")
+            raise InvariantError(f"cap end {cap_end[a]} not right of cross {a}")
     for a in crosses:
         for b in crosses:
             if a >= b:
@@ -53,7 +53,7 @@ def _assert_noncrossing(crosses, cap_end) -> None:
             # intervals [a, end_a], [b, end_b] must be nested or disjoint
             ea, eb = cap_end[a], cap_end[b]
             if b <= ea and not eb < ea:
-                raise AssertionError(
+                raise InvariantError(
                     f"caps ({a},{ea}) and ({b},{eb}) cross")
 
 

@@ -110,11 +110,11 @@ class CharPoly:
         out: dict[Vec, object] = {}
         for v1, c1 in self.terms.items():
             for v2, c2 in other.terms.items():
-                _acc(out, tuple(a + b for a, b in zip(v1, v2)), c1 * c2)
+                _acc(out, tuple(map(add, v1, v2)), c1 * c2)
         return self._like(out)
 
     def shift(self, vec: Vec) -> "CharPoly":
-        return self._like({tuple(a + b for a, b in zip(v, vec)): c
+        return self._like({tuple(map(add, v, vec)): c
                            for v, c in self.terms.items()})
 
     def delta_sum_slice(self, lo: int, hi: int) -> "CharPoly":
@@ -143,7 +143,7 @@ class CharPoly:
 
 def _tidy(c):
     """Collapse integral Fractions to plain ints."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
@@ -665,12 +665,11 @@ def pi_map(f: WeightDiagram) -> list[EvEntry]:
 
 @dataclass(frozen=True)
 class RootData:
-    """Positive roots plus the ordered atypical set of a dominant weight."""
+    """The ordered atypical set of a dominant weight: its odd roots, their
+    (eps, delta) index pairs, and kappa doubled."""
 
     m: int
     n: int
-    r0_plus: tuple[Vec, ...]
-    r1_plus: tuple[Vec, ...]
     s_chi: tuple[Vec, ...]
     s_chi_pairs: tuple[tuple[int, int], ...]
     kappa_doubled: Vec
@@ -693,9 +692,7 @@ def root_data(chi: HighestWeight) -> RootData:
             vec[m + entry.delta_index - 1] = -1
             vecs.append(tuple(vec))
     kappa2 = tuple([n - m + 1] * m + [-(n - m + 1)] * n)
-    return RootData(m, n, tuple(even_positive_roots(m, n)),
-                    tuple(odd_positive_roots(m, n)),
-                    tuple(vecs), tuple(pairs), kappa2)
+    return RootData(m, n, tuple(vecs), tuple(pairs), kappa2)
 
 
 # ---------------------------------------------------------------------------

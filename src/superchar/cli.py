@@ -360,6 +360,11 @@ def _suite_variants() -> dict:
     return {"ok": True, "checked": checked}
 
 
+def _ab_text(f: WeightDiagram) -> str:
+    ab = ab_from_diagram(f)
+    return f"A={list(ab.A)} B={list(ab.B)}"
+
+
 def _suite_orthogonality() -> dict:
     reports = []
     for (window, m, n, r_max) in [((0, 5), 1, 1, 1), ((0, 6), 2, 2, 2)]:
@@ -367,7 +372,10 @@ def _suite_orthogonality() -> dict:
         reports.append({"window": list(window), "m": m, "n": n,
                         "interior_rows": rep.interior_rows, "ok": rep.ok})
         if not rep.ok:
-            return {"ok": False, "reports": reports}
+            f, g, pairing = rep.first_failure
+            return {"ok": False, "reports": reports,
+                    "failure": f"row {_ab_text(f)} column {_ab_text(g)} "
+                               f"pairs to {pairing}, not {int(f == g)}"}
     return {"ok": True, "reports": reports}
 
 

@@ -127,10 +127,9 @@ def _suggested_cutoff(f: WeightDiagram, window: Window) -> int:
     return min(value_sum_lo - (sum(crosses) - min(crosses)) - 1, min(crosses))
 
 
-def _window_reachable(g: WeightDiagram, window: Window) -> bool:
-    """Exact block-sum test: can any Kac character term of g fall in the box?"""
-    chi = weight_from_diagram(g)
-    m, n = g.m, g.n
+def _window_reachable(chi: HighestWeight, window: Window) -> bool:
+    """Exact block-sum test: can any term of ch K(chi) fall in the box?"""
+    m, n = chi.m, chi.n
     lam_sum, mu_sum = sum(chi.lam), sum(chi.mu)
     eps_lo = sum(lo for lo, _ in window.eps)
     eps_hi = sum(hi for _, hi in window.eps)
@@ -185,9 +184,9 @@ def _oracle_sum(f: WeightDiagram, window: Window, cutoff: int) -> CharPoly:
     once to the summed even-block characters."""
     coeffs: dict[HighestWeight, int] = {}
     for wm in enumerate_weight_maps(f, cutoff):
-        g = wm.image_diagram(f)
-        if _window_reachable(g, window):
-            _acc(coeffs, weight_from_diagram(g), epsilon_sign(f, wm))
+        chi = weight_from_diagram(wm.image_diagram(f))
+        if _window_reachable(chi, window):
+            _acc(coeffs, chi, epsilon_sign(f, wm))
     return kac_sum(f.m, f.n, coeffs, window)
 
 
@@ -249,10 +248,17 @@ def _chain_edges(f: WeightDiagram, positions: tuple[int, ...]) -> frozenset:
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
-    ok: bool
+    """first_failure is (row f, column g, pairing) for the first failing row
+    in family order and its first failing column in that order, or None."""
+
     family_size: int
     interior_rows: int
     excluded_rows: tuple[WeightDiagram, ...]
+    first_failure: tuple[WeightDiagram, WeightDiagram, int] | None
+
+    @property
+    def ok(self) -> bool:
+        return self.first_failure is None
 
 
 def _diagram_family(window: tuple[int, int], m: int, n: int,
@@ -281,7 +287,17 @@ def orthogonality_report(window: tuple[int, int], m: int, n: int,
                          r_max: int) -> OrthogonalityReport:
     """Pair the projective-family matrix against the signed relocation-count
     matrix; their product must be the identity on every row whose projective
-    family stays inside the window."""
+    family stays inside the window.
+
+    Entry (f, g) of the product is the sum, over the members h of the
+    projective family of f, of the signed count of relocations of g onto h.
+    The counts are indexed by column: cols[h] maps each family diagram g to
+    its signed count onto h, nonzero entries only.  Summing cols[h] over the
+    members of f gives row f of the product at every column where it is
+    nonzero; every other family column pairs to 0.  So row f passes exactly
+    when that sum is {f: 1}, the same test as pairing f with every column,
+    at a cost linear in the nonzero counts reached.
+    """
     lo, hi = window
     family = _diagram_family(window, m, n, r_max)
 
@@ -289,19 +305,13 @@ def orthogonality_report(window: tuple[int, int], m: int, n: int,
         ps = d.positions()
         return not ps or (lo <= min(ps) and max(ps) <= hi)
 
-    # signed relocation counts: b_rows[g][h] sums the signs of relocations of
-    # g whose image diagram is h
-    b_rows: dict[WeightDiagram, dict[WeightDiagram, int]] = {}
+    cols: dict[WeightDiagram, dict[WeightDiagram, int]] = {}
     for g in family:
-        row: dict[WeightDiagram, int] = {}
         for wm in enumerate_weight_maps(g, lo):
-            h = wm.image_diagram(g)
-            row[h] = row.get(h, 0) + epsilon_sign(g, wm)
-        b_rows[g] = row
+            _acc(cols.setdefault(wm.image_diagram(g), {}), g, epsilon_sign(g, wm))
 
-    # pairing row f against column g contracts over the middle diagram h:
-    # sum of a[f][h] * b[g][h] must be 1 exactly when f == g
-    ok = True
+    order = {g: k for k, g in enumerate(family)}
+    first_failure = None
     interior = 0
     excluded = []
     for f in family:
@@ -310,11 +320,17 @@ def orthogonality_report(window: tuple[int, int], m: int, n: int,
             excluded.append(f)
             continue
         interior += 1
-        for g in family:
-            pairing = sum(b_rows[g].get(h, 0) for h in members)
-            if pairing != (1 if g == f else 0):
-                ok = False
-    return OrthogonalityReport(ok, len(family), interior, tuple(excluded))
+        pairing: dict[WeightDiagram, int] = {}
+        for h in members:
+            for g, c in cols.get(h, {}).items():
+                _acc(pairing, g, c)
+        if first_failure is None and pairing != {f: 1}:
+            bad = [g for g in pairing.keys() | {f}
+                   if pairing.get(g, 0) != (1 if g == f else 0)]
+            g = min(bad, key=order.__getitem__)
+            first_failure = (f, g, pairing.get(g, 0))
+    return OrthogonalityReport(len(family), interior, tuple(excluded),
+                               first_failure)
 
 
 def orthogonality_check(window: tuple[int, int], m: int, n: int,

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the library's own algorithms:
 cap ends come from a stack matcher, extension counts from filtering raw
 permutations, Schur weights from semistandard tableaux, lattice points from
 plain nested loops, the alternation tail from full-orbit expansion and exact
-division instead of folding and Schur-block assembly.
+division instead of folding and Schur-block assembly, the orthogonality
+product by pairing every row with every column.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from superchar import oracle
+from superchar.caps import projective_family
 from superchar.charring import (
     CharPoly,
     alt_J,
@@ -188,3 +191,40 @@ def tail_by_division(m, n, num, slice_lo, slice_hi):
     for alpha in even_positive_roots(m, n):
         t = divide_exact(t, alpha)
     return t.shift(tuple(-x for x in rho_exponent(m, n)))
+
+
+def orthogonality_dense(window, m, n, r_max):
+    """oracle.orthogonality_report the long way round: pair every interior
+    row f with every column g of the family, summing g's signed relocation
+    counts over f's projective members.  Signs come from oracle.epsilon_sign
+    looked up at call time, so a patched sign reaches both routes."""
+    lo, hi = window
+    family = oracle._diagram_family(window, m, n, r_max)
+
+    def in_window(d):
+        ps = d.positions()
+        return not ps or (lo <= min(ps) and max(ps) <= hi)
+
+    b_rows = {}
+    for g in family:
+        row = {}
+        for wm in oracle.enumerate_weight_maps(g, lo):
+            h = wm.image_diagram(g)
+            row[h] = row.get(h, 0) + oracle.epsilon_sign(g, wm)
+        b_rows[g] = row
+
+    first_failure = None
+    interior = 0
+    excluded = []
+    for f in family:
+        members = projective_family(f)
+        if not all(in_window(h) for h in members):
+            excluded.append(f)
+            continue
+        interior += 1
+        for g in family:
+            pairing = sum(b_rows[g].get(h, 0) for h in members)
+            if pairing != (1 if g == f else 0) and first_failure is None:
+                first_failure = (f, g, pairing)
+    return oracle.OrthogonalityReport(len(family), interior, tuple(excluded),
+                                      first_failure)

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -257,6 +258,24 @@ def test_reduced_formula_support_detection():
 
 
 def symmetrized(bases, poly, subset):
+    """Sum over the terms c*x^exps of poly of c times the number of
+    arrangements arr of subset with arr_i <= u_i = bases_i + exps_i.
+
+    Place the slots in ascending order of u: the t-th (from 0) can take any
+    element of subset not above u_(t) except the t already placed, which are
+    not above it either.  Each factor is at most one below the one before,
+    so the product hits 0 before a factor could turn negative."""
+    ordered = sorted(subset)
+    total = 0
+    for exps, c in poly.terms.items():
+        count = 1
+        for t, u in enumerate(sorted(b + e for b, e in zip(bases, exps))):
+            count *= bisect_right(ordered, u) - t
+        total += c * count
+    return total
+
+
+def symmetrized_by_permutations(bases, poly, subset):
     total = 0
     for arr in permutations(subset):
         for exps, c in poly.terms.items():
@@ -265,13 +284,9 @@ def symmetrized(bases, poly, subset):
     return total
 
 
-@pytest.mark.parametrize("crosses", [(0, 1), (0, 1, 2), (0, 1, 3),
-                                     (0, 2, 3), (0, 1, 2, 4)])
-def test_variant_identity_by_symmetrized_coefficients(crosses):
-    # For core-free maximally atypical diagrams the alternation of a monomial
-    # in the atypical roots depends only on the multiset of its coefficients,
-    # so the classic and reduced numerators must have equal symmetrized
-    # coefficient functions on every strictly decreasing argument set.
+def _symmetrized_cases(crosses):
+    """The classic and reduced numerators with their bases, and every
+    r-element argument set of the comparison window."""
     g, sd = forest_of(*crosses)
     if not reduced_formula_supported(g, sd):
         pytest.skip("outside the reduced formula's family")
@@ -281,6 +296,26 @@ def test_variant_identity_by_symmetrized_coefficients(crosses):
     r = len(crosses)
     lo = min(crosses) - r * r - 6
     hi = max(tilde_bases) + 2
-    for subset in combinations(range(lo, hi + 1), r):
-        assert symmetrized(crosses, th, subset) == \
-            symmetrized(tilde_bases, tt, subset), subset
+    return (crosses, th), (tilde_bases, tt), combinations(range(lo, hi + 1), r)
+
+
+@pytest.mark.parametrize("crosses", [(0, 1), (0, 1, 2), (0, 1, 3),
+                                     (0, 2, 3), (0, 1, 2, 4)])
+def test_variant_identity_by_symmetrized_coefficients(crosses):
+    # For core-free maximally atypical diagrams the alternation of a monomial
+    # in the atypical roots depends only on the multiset of its coefficients,
+    # so the classic and reduced numerators must have equal symmetrized
+    # coefficient functions on every strictly decreasing argument set.
+    classic, reduced, subsets = _symmetrized_cases(crosses)
+    for subset in subsets:
+        assert symmetrized(*classic, subset) == \
+            symmetrized(*reduced, subset), subset
+
+
+@pytest.mark.parametrize("crosses", [(0, 1), (0, 1, 2), (0, 1, 3), (0, 2, 3)])
+def test_symmetrized_counts_match_permutations(crosses):
+    classic, reduced, subsets = _symmetrized_cases(crosses)
+    for subset in subsets:
+        for bases, poly in (classic, reduced):
+            assert symmetrized(bases, poly, subset) == \
+                symmetrized_by_permutations(bases, poly, subset), subset

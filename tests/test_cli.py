@@ -143,6 +143,16 @@ def test_invariant_violation_exits_4(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_crossing_caps_exit_4(capsys, monkeypatch):
+    # caps (0, 2) and (1, 3) cross
+    monkeypatch.setattr(superchar.caps, "_caps_greedy",
+                        lambda f: {0: 2, 1: 3})
+    code, _, err = run(capsys, "diagram", "--m", "2", "--n", "2",
+                       "--lambda", "1,1", "--mu", "-1,-1")
+    assert code == 4
+    assert err == "error: invariant violated: caps (0,2) and (1,3) cross\n"
+
+
 def test_kac_command(capsys):
     code, out, _ = run(capsys, "kac", "--m", "1", "--n", "1",
                        "--lambda", "0", "--mu", "1")

@@ -1,7 +1,10 @@
+import json
 import random
 
 import pytest
 
+import superchar.cli as cli
+import superchar.oracle as oracle_module
 from superchar.charring import (
     CharPoly,
     Window,
@@ -35,7 +38,7 @@ from superchar.weights import (
     weight_from_diagram,
 )
 
-from helpers import dominant_weights, random_diagram
+from helpers import dominant_weights, orthogonality_dense, random_diagram
 
 
 def crosses_only(*positions):
@@ -147,8 +150,6 @@ def test_oracle_typical_is_kac():
 
 
 def test_oracle_char_makes_one_kac_sum_call(monkeypatch):
-    import superchar.oracle as oracle_module
-
     calls = []
     real = oracle_module.kac_sum
 
@@ -205,7 +206,8 @@ def test_relocations_below_cutoff_bound_miss_the_window():
         for wm in enumerate_weight_maps(f, bound - 3):
             if min(wm.phi.values()) < bound:
                 below += 1
-                assert not _window_reachable(wm.image_diagram(f), window), (chi, wm)
+                assert not _window_reachable(
+                    weight_from_diagram(wm.image_diagram(f)), window), (chi, wm)
     assert below  # the enumeration at bound - 3 does reach below the bound
 
 
@@ -316,3 +318,67 @@ def test_orthogonality_diagonal_entries():
     identity = [wm for wm in maps if wm.phi == {2: 2}]
     assert len(identity) == 1
     assert epsilon_sign(f, identity[0]) == 1
+
+
+ORTHOGONALITY_WINDOWS = [((0, 5), 1, 1, 1), ((0, 6), 2, 2, 2)]
+
+
+def _flip_signs(monkeypatch, flipped, identity_too):
+    """Negate the sign of every relocation of the diagrams in flipped; that
+    of the identity relocation only if identity_too."""
+    sign = oracle_module.epsilon_sign
+
+    def patched(f, wm):
+        s = sign(f, wm)
+        if f in flipped and (identity_too or wm.image_diagram(f) != f):
+            return -s
+        return s
+
+    monkeypatch.setattr(oracle_module, "epsilon_sign", patched)
+
+
+@pytest.mark.parametrize("args", ORTHOGONALITY_WINDOWS)
+def test_orthogonality_sparse_equals_dense(args):
+    rep = orthogonality_report(*args)
+    assert rep.ok
+    assert rep == orthogonality_dense(*args)
+
+
+@pytest.mark.parametrize("args, g0", zip(ORTHOGONALITY_WINDOWS,
+                                         [crosses_only(2), crosses_only(2, 3)]))
+def test_flipped_sign_fails_its_own_row(monkeypatch, args, g0):
+    # negating column g0 turns its diagonal entry to -1 and keeps every
+    # off-diagonal entry of the column at 0
+    _flip_signs(monkeypatch, {g0}, identity_too=True)
+    rep = orthogonality_report(*args)
+    assert not rep.ok
+    assert rep.first_failure == (g0, g0, -1)
+    assert rep == orthogonality_dense(*args)
+
+
+@pytest.mark.parametrize("args, flipped", [
+    (((0, 5), 1, 1, 1), [crosses_only(5)]),
+    (((0, 6), 2, 2, 2), [crosses_only(2, 3)]),
+    (((0, 6), 2, 2, 2), [crosses_only(0, 2), crosses_only(1, 3)]),
+])
+def test_off_diagonal_flips_fail_both_routes_alike(monkeypatch, args, flipped):
+    _flip_signs(monkeypatch, set(flipped), identity_too=False)
+    rep = orthogonality_report(*args)
+    assert not rep.ok
+    assert rep == orthogonality_dense(*args)
+
+
+def test_verify_orthogonality_names_the_failing_pair(monkeypatch, capsys):
+    _flip_signs(monkeypatch, {crosses_only(2)}, identity_too=True)
+    code = cli.main(["verify", "--only", "orthogonality", "--format", "json"])
+    suite = json.loads(capsys.readouterr().out)["suites"]["orthogonality"]
+    assert code == 4
+    assert not suite["ok"]
+    assert suite["failure"] == \
+        "row A=[2] B=[2] column A=[2] B=[2] pairs to -1, not 1"
+
+
+def test_orthogonality_gl33_window():
+    rep = orthogonality_report((0, 7), 3, 3, 3)
+    assert rep.ok
+    assert (rep.family_size, rep.interior_rows) == (3136, 2352)
