@@ -363,29 +363,63 @@ def divide_exact(p: CharPoly, alpha: Vec, plus: bool = False) -> CharPoly:
 # classical block characters (Laurent Schur polynomials)
 
 @lru_cache(maxsize=None)
-def _schur_block(lam: tuple[int, ...]) -> tuple[tuple[Vec, int], ...]:
-    """Weight multiplicities of the gl(k) irreducible with highest weight lam,
-    via the ratio of alternants with exact division."""
+def _schur_block(lam: tuple[int, ...], box: tuple[tuple[int, int], ...] | None = None
+                 ) -> tuple[tuple[Vec, int], ...]:
+    """Weight multiplicities of the gl(k) irreducible with highest weight lam
+    inside a box of per-slot exponent intervals (None: the whole block).
+
+    Gelfand-Tsetlin branching: ch L(lam) is the sum, over the rows mu with
+    lam_1 >= mu_1 >= lam_2 >= ... >= mu_{k-1} >= lam_k, of
+    ch L(mu) * x_k^(|lam| - |mu|), where L(mu) is the gl(k-1) irreducible in
+    x_1 .. x_{k-1}.  Two exact prunes keep the work inside the box.  Every
+    weight lies in the convex hull of the permutations of lam, so each slot is
+    clipped to [lam_k, lam_1], and an empty slot leaves nothing.  A weight
+    from the mu term has last coordinate |lam| - |mu| and its other
+    coordinates sum to |mu|, so only rows whose sum puts the last coordinate
+    in the last slot and lies between the sums of the other slots' bounds are
+    built, pruned on partial sums; each recurses on the box minus its last
+    slot, clipped to [mu_{k-1}, mu_1].  The cache is shared across calls,
+    because sub-blocks recur across blocks, windows and callers.
+    """
     k = len(lam)
-    staircase = tuple(range(k - 1, -1, -1))
-    shifted = tuple(l + s for l, s in zip(lam, staircase))
-    # one-block alternant in a (k, 0)-variable ring; reuse alt_J with n=0
-    numerator = alt_J(CharPoly.monomial(k, 0, shifted))
-    for alpha in even_positive_roots(k, 0):
-        numerator = divide_exact(numerator, alpha)
-    schur = numerator.shift(tuple(-s for s in staircase))
-    return tuple(sorted(schur.terms.items()))
+    box = tuple((max(lo, lam[-1]), min(hi, lam[0]))
+                for lo, hi in box or ((lam[-1], lam[0]),) * k)
+    if any(lo > hi for lo, hi in box):
+        return ()
+    if k == 1:
+        return (((lam[0],), 1),)
+    total = sum(lam)
+    rest = box[:-1]
+    s_lo = max(total - box[-1][1], sum(lo for lo, _ in rest))
+    s_hi = min(total - box[-1][0], sum(hi for _, hi in rest))
+    # the entries mu_i .. mu_{k-2} sum to between rem_lo[i] and rem_hi[i]
+    rem_lo = [sum(lam[i + 1:]) for i in range(k)]
+    rem_hi = [sum(lam[i:k - 1]) for i in range(k)]
+    out: dict[Vec, int] = {}
+
+    def rows(i: int, acc: int, mu: Vec) -> None:
+        if i == k - 1:
+            sub = tuple((max(lo, mu[-1]), min(hi, mu[0])) for lo, hi in rest)
+            if sub == ((mu[-1], mu[0]),) * (k - 1):
+                sub = None
+            last = (total - acc,)
+            for w, c in _schur_block(mu, sub):
+                w += last
+                out[w] = out.get(w, 0) + c
+            return
+        for x in range(max(lam[i + 1], s_lo - acc - rem_hi[i + 1]),
+                       min(lam[i], s_hi - acc - rem_lo[i + 1]) + 1):
+            rows(i + 1, acc + x, mu + (x,))
+
+    rows(0, 0, ())
+    return tuple(out.items())
 
 
 def weyl0_character(chi: HighestWeight) -> CharPoly:
     """Character of the even-part irreducible: a product of two Laurent Schur
     polynomials, one per block."""
-    m, n = chi.m, chi.n
-    out: dict[Vec, object] = {}
-    for ve, ce in _schur_block(chi.lam):
-        for vd, cd in _schur_block(chi.mu):
-            out[ve + vd] = ce * cd
-    return CharPoly(m, n, out)
+    return CharPoly(chi.m, chi.n, {ve + vd: ce * cd for ve, ce in _schur_block(chi.lam)
+                                   for vd, cd in _schur_block(chi.mu)})
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +438,11 @@ def _q_by_odd_degree(m: int, n: int
 
 
 def alternate_tail(m: int, n: int, num: dict[Vec, object],
-                   slice_lo: int, slice_hi: int) -> CharPoly:
+                   slice_lo: int, slice_hi: int,
+                   window: Window | None = None) -> CharPoly:
     """J(num * Q) restricted to odd degree [slice_lo, slice_hi], divided by
     e^rho * prod_even (1 - e^{-alpha}), the numerator of the normalized
-    denominator pair.
+    denominator pair; with a window, only its terms inside the window.
 
     Q (the odd factor) is W0-invariant and the slice is W0-stable, so
     J(num) * Q = J(fold(num) * Q): the numerator is folded onto strictly
@@ -415,7 +450,11 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
     degree keeps the product inside the slice are visited, and the product
     is folded again, one block at a time.  A folded term e^omega contributes
     J(e^omega) / (e^rho prod(1 - e^{-alpha})), the product of the two Laurent
-    Schur blocks of highest weight omega - rho.  Coefficients are scaled to
+    Schur blocks of highest weight omega - rho.  A window is a product of
+    per-slot intervals, so a monomial lies in it exactly when its even part
+    lies in window.eps and its odd part in window.delta: each block is
+    expanded inside its half of the window only (_schur_block), which equals
+    the whole expansion restricted to the window.  Coefficients are scaled to
     integers for the tail and divided back once at the end.
     """
     scale = 1
@@ -445,17 +484,18 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
 
     # group by the even block so each even Schur block is expanded once
     rho = rho_exponent(m, n)
+    eps_box, delta_box = (window.eps, window.delta) if window else (None, None)
     odd_parts: dict[Vec, dict[Vec, int]] = {}
     for w, c in omegas.items():
         if not c:
             continue
         lam = tuple(map(sub, w[:m], rho[:m]))
         inner = odd_parts.setdefault(lam, {})
-        for vd, cd in _schur_block(tuple(map(sub, w[m:], rho[m:]))):
+        for vd, cd in _schur_block(tuple(map(sub, w[m:], rho[m:])), delta_box):
             _acc(inner, vd, c * cd)
     out: dict[Vec, object] = {}
     for lam, inner in odd_parts.items():
-        for ve, ce in _schur_block(lam):
+        for ve, ce in _schur_block(lam, eps_box):
             for vd, cd in inner.items():
                 _acc(out, ve + vd, ce * cd)
     if scale != 1:
@@ -465,65 +505,18 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
 
 @lru_cache(maxsize=None)
 def gt_multiplicity(lam: tuple[int, ...], w: Vec) -> int:
-    """Weight multiplicity in the gl(k) irreducible by counting interlacing
-    patterns row by row (Laurent weights allowed: everything is translated to
-    a non-negative base first)."""
-    k = len(lam)
-    if sum(lam) != sum(w):
-        return 0
-    if k == 1:
-        return 1 if lam[0] == w[0] else 0
-    base = lam[-1]
-    if base != 0:
-        return gt_multiplicity(tuple(x - base for x in lam),
-                               tuple(x - base for x in w))
-    target = sum(lam) - w[-1]
-    if target < 0:
-        return 0
-
-    def rows(i: int, remaining: int, prefix: tuple[int, ...]) -> int:
-        # entry i of the length-(k-1) middle row, interlacing lam
-        lo = lam[i + 1]
-        hi = min(lam[i], prefix[-1]) if prefix else lam[i]
-        if i == k - 2:
-            if lo <= remaining <= hi:
-                return gt_multiplicity(prefix + (remaining,), w[:-1])
-            return 0
-        rest_lo = sum(lam[j + 1] for j in range(i + 1, k - 1))
-        total = 0
-        for val in range(lo, hi + 1):
-            if remaining - val < rest_lo:
-                break
-            total += rows(i + 1, remaining - val, prefix + (val,))
-        return total
-
-    return rows(0, target, ())
+    """Multiplicity of the weight w in the gl(k) irreducible: the branching
+    kernel (_schur_block) on the one-point box at w."""
+    block = _schur_block(lam, tuple((x, x) for x in w))
+    return block[0][1] if block else 0
 
 
 def schur_window(lam: tuple[int, ...],
                  box: tuple[tuple[int, int], ...]) -> dict[Vec, int]:
-    """Nonzero weight multiplicities of the gl(k) irreducible inside a box."""
-    k = len(lam)
-    total = sum(lam)
-    out: dict[Vec, int] = {}
-
-    def fill(i: int, acc: int, prefix: tuple[int, ...]):
-        if i == k:
-            if acc == total:
-                mult = gt_multiplicity(lam, prefix)
-                if mult:
-                    out[prefix] = mult
-            return
-        lo, hi = box[i]
-        rest_lo = sum(box[j][0] for j in range(i + 1, k))
-        rest_hi = sum(box[j][1] for j in range(i + 1, k))
-        for val in range(lo, hi + 1):
-            if acc + val + rest_lo > total or acc + val + rest_hi < total:
-                continue
-            fill(i + 1, acc + val, prefix + (val,))
-
-    fill(0, 0, ())
-    return out
+    """Nonzero weight multiplicities of the gl(k) irreducible inside a box,
+    built by the branching kernel (_schur_block) without visiting any weight
+    outside the box."""
+    return dict(_schur_block(lam, box))
 
 
 # ---------------------------------------------------------------------------
@@ -540,40 +533,39 @@ def kac_sum(m: int, n: int, coeffs: dict[HighestWeight, int],
     summed first and Q is applied once, one binomial at a time (i outer, j
     inner), each term v adding v - eps_i + delta_j.
 
-    With a window, the terms that can no longer reach it are dropped after
-    every binomial, and the drop is exact.  Let rem_s be the number of
+    Without a window, the window is a box that holds the whole sum: a block's
+    exponents lie in [lam_k, lam_1] and Q lowers even exponents by at most n
+    and raises odd ones by at most m.  Terms that can no longer reach the
+    window are dropped after every binomial, and the drop is exact.  Let rem_s be the number of
     binomials not yet applied that touch slot s.  Even exponents only fall and
     odd ones only rise, each by at most rem_s, so a term can reach the window
     only if lo <= v_s <= hi + rem_s on every even slot and
     lo - rem_s <= v_s <= hi on every odd slot; a term outside this box
     contributes nothing inside the window.  At the start rem_s is n on the
-    even slots and m on the odd ones, so the even blocks are counted by
-    pattern counts (schur_window) on the window widened by n upwards and by m
-    downwards; after the last binomial every rem_s is 0, the box is the
-    window itself and no final restriction is needed.
+    even slots and m on the odd ones, so the even blocks are built by the
+    branching kernel (schur_window) inside the window widened by n upwards on
+    the even slots and by m downwards on the odd ones; after the last
+    binomial every rem_s is 0, the box is the window itself and no final
+    restriction is needed.
     """
-    terms: dict[Vec, int] = {}
     if window is None:
-        for chi, c in coeffs.items():
-            for v, ce in weyl0_character(chi).terms.items():
-                _acc(terms, v, c * ce)
-        if not terms:
+        if not coeffs:
             return CharPoly.zero(m, n)
-        # a box around the whole product, so nothing is ever dropped
-        lo = [min(v[s] for v in terms) - (n if s < m else 0) for s in range(m + n)]
-        hi = [max(v[s] for v in terms) + (0 if s < m else m) for s in range(m + n)]
-    else:
-        lo = [b for b, _ in window.eps + window.delta]
-        hi = [b for _, b in window.eps + window.delta]
-        eps_box = tuple((b, t + n) for b, t in window.eps)
-        delta_box = tuple((b - m, t) for b, t in window.delta)
-        for chi, c in coeffs.items():
-            s_eps = schur_window(chi.lam, eps_box)
-            if not s_eps:
-                continue
-            for vd, cd in schur_window(chi.mu, delta_box).items():
-                for ve, ce in s_eps.items():
-                    _acc(terms, ve + vd, c * ce * cd)
+        window = Window(
+            ((min(chi.lam[-1] for chi in coeffs) - n, max(chi.lam[0] for chi in coeffs)),) * m,
+            ((min(chi.mu[-1] for chi in coeffs), max(chi.mu[0] for chi in coeffs) + m),) * n)
+    lo = [b for b, _ in window.eps + window.delta]
+    hi = [b for _, b in window.eps + window.delta]
+    eps_box = tuple((b, t + n) for b, t in window.eps)
+    delta_box = tuple((b - m, t) for b, t in window.delta)
+    terms: dict[Vec, int] = {}
+    for chi, c in coeffs.items():
+        s_eps = schur_window(chi.lam, eps_box)
+        if not s_eps:
+            continue
+        for vd, cd in schur_window(chi.mu, delta_box).items():
+            for ve, ce in s_eps.items():
+                _acc(terms, ve + vd, c * ce * cd)
 
     rem = [n] * m + [m] * n
     for i in range(m):
@@ -604,9 +596,9 @@ def kac_char(f: WeightDiagram) -> CharPoly:
 
 def kac_char_window(f: WeightDiagram, window: Window) -> CharPoly:
     """Kac character restricted to a box, computed without expanding the whole
-    module: block multiplicities come from pattern counts on a widened box,
-    and terms that cannot reach the box are dropped after every odd binomial
-    (kac_sum)."""
+    module: the even blocks are built by the branching kernel inside a widened
+    box, and terms that cannot reach the box are dropped after every odd
+    binomial (kac_sum)."""
     chi = weight_from_diagram(f)
     return kac_sum(chi.m, chi.n, {chi: 1}, window)
 

@@ -184,7 +184,10 @@ def _char_latex(chi: HighestWeight, variant: str) -> str:
 
 def cmd_char(args) -> int:
     chi = _weight_from_args(args)
-    depth = "auto" if args.depth == "auto" else int(args.depth)
+    try:
+        depth = "auto" if args.depth == "auto" else int(args.depth)
+    except ValueError:
+        raise InputError(f"--depth must be 'auto' or an integer, got {args.depth!r}") from None
     try:
         ch = irreducible_char(chi, variant=args.variant, depth=depth)
     except TruncationInstability as exc:

@@ -194,7 +194,9 @@ def oracle_char_lattice(f: WeightDiagram, window: Window,
                         cutoff: int | None = None) -> CharPoly:
     """Second oracle route: sum plain alternants over the lattice points of
     the order polyhedron (signs from the position sums), then divide by the
-    normalized denominator.  Sign conventions are coded independently of
+    normalized denominator.  The shared tail (alternate_tail) gets the window
+    and expands each Schur block inside it only, so no monomial outside the
+    window is built.  Sign conventions are coded independently of
     epsilon_sign."""
     m, n = f.m, f.n
     crosses = f.crosses
@@ -225,7 +227,7 @@ def oracle_char_lattice(f: WeightDiagram, window: Window,
         if sum(vec[m:]) > slice_hi:
             continue
         _acc(total, tuple(vec), sgn)
-    return alternate_tail(m, n, total, slice_lo, slice_hi).restrict(window)
+    return alternate_tail(m, n, total, slice_lo, slice_hi, window)
 
 
 def _b_list(f: WeightDiagram) -> list[int]:

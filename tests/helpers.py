@@ -2,10 +2,10 @@
 
 Everything here is deliberately independent of the library's own algorithms:
 cap ends come from a stack matcher, extension counts from filtering raw
-permutations, Schur weights from semistandard tableaux, lattice points from
-plain nested loops, the alternation tail from full-orbit expansion and exact
-division instead of folding and Schur-block assembly, the orthogonality
-product by pairing every row with every column.
+permutations, Schur weights from semistandard tableaux or a ratio of
+alternants, lattice points from plain nested loops, the alternation tail from
+full-orbit expansion and exact division instead of folding and Schur-block
+assembly, the orthogonality product by pairing every row with every column.
 """
 
 from __future__ import annotations
@@ -129,34 +129,45 @@ def all_rooted_forests(max_vertices: int):
 
 def ssyt_weight_multiplicities(lam: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
     """Weight multiplicities of the gl(k) irreducible from semistandard
-    tableaux; Laurent highest weights are translated to a partition first."""
+    tableaux, filled cell by cell (rows weakly increasing, columns strictly
+    increasing); Laurent highest weights are translated to a partition first."""
     if len(lam) != k:
         raise ValueError("lam must have k entries")
     base = lam[-1]
-    shape = tuple(x - base for x in lam)
-    rows = [list(itertools.combinations_with_replacement(range(1, k + 1), width))
-            for width in shape]
+    cells = [(r, c) for r, width in enumerate(x - base for x in lam) for c in range(width)]
+    grid: dict[tuple[int, int], int] = {}
+    weight = [0] * k
     counts: dict[tuple[int, ...], int] = {}
 
-    def fill(i, prev):
-        if i == k:
-            weight = [0] * k
-            for row in chosen:
-                for entry in row:
-                    weight[entry - 1] += 1
+    def fill(t):
+        if t == len(cells):
             w = tuple(x + base for x in weight)
             counts[w] = counts.get(w, 0) + 1
             return
-        for row in rows[i]:
-            if prev is not None and any(row[c] <= prev[c] for c in range(len(row))):
-                continue
-            chosen.append(row)
-            fill(i + 1, row)
-            chosen.pop()
+        r, c = cells[t]
+        for entry in range(max(grid.get((r, c - 1), 1), grid.get((r - 1, c), 0) + 1), k + 1):
+            grid[r, c] = entry
+            weight[entry - 1] += 1
+            fill(t + 1)
+            weight[entry - 1] -= 1
+        grid.pop((r, c), None)
 
-    chosen: list = []
-    fill(0, None)
+    fill(0)
     return counts
+
+
+def schur_block_by_division(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Weight multiplicities of the gl(k) irreducible as a ratio of
+    alternants: the alternant of lam + staircase, divided exactly by every
+    positive root, then shifted back by the staircase."""
+    k = len(lam)
+    staircase = tuple(range(k - 1, -1, -1))
+    shifted = tuple(x + s for x, s in zip(lam, staircase))
+    # one-block alternant in a (k, 0)-variable ring
+    numerator = alt_J(CharPoly.monomial(k, 0, shifted))
+    for alpha in even_positive_roots(k, 0):
+        numerator = divide_exact(numerator, alpha)
+    return numerator.shift(tuple(-s for s in staircase)).terms
 
 
 def weyl_dimension(lam: tuple[int, ...]) -> int:

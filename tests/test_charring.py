@@ -1,7 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from superchar.charring import (
     CharPoly,
@@ -38,6 +42,7 @@ from superchar.weights import CROSS, HighestWeight, WeightDiagram, diagram_of_we
 
 from helpers import (
     dominant_weights,
+    schur_block_by_division,
     ssyt_weight_multiplicities,
     tail_by_division,
     weyl_dimension,
@@ -131,9 +136,9 @@ def test_schur_block_matches_tableaux():
         assert got == expected, lam
 
 
-def test_gt_multiplicity_matches_schur_block():
+def test_gt_multiplicity_matches_tableaux():
     for lam in [(2, 0), (3, 1, 0), (2, 2, -1)]:
-        table = dict(_schur_block(lam))
+        table = ssyt_weight_multiplicities(lam, len(lam))
         for w, mult in table.items():
             assert gt_multiplicity(lam, w) == mult
         assert gt_multiplicity(lam, tuple([99] + [0] * (len(lam) - 1))) == 0
@@ -141,12 +146,71 @@ def test_gt_multiplicity_matches_schur_block():
 
 def test_schur_window_restricts():
     lam = (3, 1, 0)
-    full = dict(_schur_block(lam))
     box = ((0, 2), (0, 2), (0, 2))
-    windowed = schur_window(lam, box)
-    expected = {w: c for w, c in full.items()
+    expected = {w: c for w, c in ssyt_weight_multiplicities(lam, 3).items()
                 if all(lo <= x <= hi for x, (lo, hi) in zip(w, box))}
-    assert windowed == expected
+    assert schur_window(lam, box) == expected
+
+
+@lru_cache(maxsize=None)
+def _tableaux(lam):
+    return ssyt_weight_multiplicities(lam, len(lam))
+
+
+# a gl(k) highest weight: k <= 4, entries in [-4, 4]
+_highest_weights = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+    .map(lambda xs: tuple(sorted(xs, reverse=True))))
+
+
+@st.composite
+def _blocks_and_boxes(draw):
+    """A highest weight and a box of per-slot intervals that may overhang
+    [lam_k, lam_1] or be empty."""
+    lam = draw(_highest_weights)
+    box = []
+    for _ in lam:
+        lo = draw(st.integers(-6, 5))
+        box.append((lo, lo + draw(st.integers(-1, 9))))
+    return lam, tuple(box)
+
+
+def _in_box(w, box):
+    return all(lo <= x <= hi for x, (lo, hi) in zip(w, box))
+
+
+def _in_weight_polytope(lam, w):
+    """w has lam's coordinate sum and is dominated by lam once sorted."""
+    if sum(w) != sum(lam):
+        return False
+    ws = sorted(w, reverse=True)
+    return all(sum(ws[:i]) <= sum(lam[:i]) for i in range(1, len(lam)))
+
+
+@given(_blocks_and_boxes())
+def test_schur_window_matches_tableaux_and_division(case):
+    lam, box = case
+    expected = {w: c for w, c in _tableaux(lam).items() if _in_box(w, box)}
+    assert schur_window(lam, box) == expected
+    by_division = schur_block_by_division(lam)
+    assert {w: c for w, c in by_division.items() if _in_box(w, box)} == expected
+
+
+@given(_blocks_and_boxes())
+def test_gt_multiplicity_at_every_box_point(case):
+    # inside the weight polytope the count is the tableau count and
+    # positive, off it 0
+    lam, box = case
+    table = _tableaux(lam)
+    for w in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        mult = gt_multiplicity(lam, w)
+        assert mult == table.get(w, 0), (lam, w)
+        assert (mult > 0) == _in_weight_polytope(lam, w), (lam, w)
+
+
+@given(_highest_weights)
+def test_whole_block_sums_to_weyl_dimension(lam):
+    assert sum(c for _, c in _schur_block(lam)) == weyl_dimension(lam)
 
 
 def test_kac_window_matches_restriction():

@@ -178,6 +178,15 @@ def test_missing_weight_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("depth", ["abc", "1.5"])
+def test_non_integer_depth_exits_2(capsys, depth):
+    code, out, err = run(capsys, "char", "--m", "1", "--n", "1",
+                         "--lambda", "0", "--mu", "0", "--depth", depth)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --depth must be 'auto' or an integer")
+
+
 def test_instability_exits_3(capsys):
     code, _, err = run(capsys, "char", "--m", "2", "--n", "2",
                        "--lambda", "1,1", "--mu", "-1,-1", "--depth", "0")

@@ -8,6 +8,7 @@ import pytest
 
 from superchar.charring import (
     TruncationInstability,
+    Window,
     _numerator,
     alternate_tail,
     auto_depth,
@@ -42,6 +43,33 @@ def test_alternate_tail_matches_division_route(m, n, fractions):
         hi = lo + rng.randint(0, m * n)
         assert (alternate_tail(m, n, num, lo, hi)
                 == tail_by_division(m, n, num, lo, hi)), (num, lo, hi)
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_windowed_tail_is_the_restricted_tail(m, n):
+    # random boxes cut from the support's hull widened by one, and one box
+    # past the support on an even slot
+    rng = random.Random(2000 + 10 * m + n)
+    hits = misses = 0
+    for _ in range(8 if m * n < 9 else 3):
+        num = _random_numerator(rng, m, n, rng.random() < 0.3)
+        lo = rng.randint(-3 * n, 2 * n)
+        hi = lo + rng.randint(0, m * n)
+        full = alternate_tail(m, n, num, lo, hi)
+        if full.is_zero():
+            continue
+        hull = Window.hull(full, margin=1)
+        for trial in range(4):
+            eps, delta = ([(rng.randint(a, a + 2), rng.randint(b - 2, b)) for a, b in slots]
+                          for slots in (hull.eps, hull.delta))
+            if trial == 3:
+                eps[0] = (hull.eps[0][1], hull.eps[0][1] + 2)
+            window = Window(tuple(eps), tuple(delta))
+            expected = full.restrict(window)
+            hits += not expected.is_zero()
+            misses += expected.is_zero()
+            assert alternate_tail(m, n, num, lo, hi, window) == expected, (num, window)
+    assert hits and misses
 
 
 def _series_bound(chi, variant):
