@@ -277,16 +277,17 @@ def _sort_desc_signed(seq: Vec) -> tuple[int, Vec | None]:
     return (-1 if inv & 1 else 1), tuple(sorted(seq, reverse=True))
 
 
-def _fold(m: int, terms) -> dict[Vec, object]:
+def _fold(m: int, terms, odd: bool = True) -> dict[Vec, object]:
     """Sum (vector, coefficient) pairs onto the strictly decreasing (per
     block) representatives of their orbits, with the sign of the sorting
-    permutation; terms with a repeated entry in a block die."""
+    permutation; terms with a repeated entry in a block die.  odd=False
+    folds the even block only."""
     into: dict[Vec, object] = {}
     for v, c in terms:
         s1, eps = _sort_desc_signed(v[:m])
         if s1 == 0:
             continue
-        s2, delta = _sort_desc_signed(v[m:])
+        s2, delta = _sort_desc_signed(v[m:]) if odd else (1, v[m:])
         if s2 == 0:
             continue
         _acc(into, eps + delta, c if s1 == s2 else -c)
@@ -425,18 +426,6 @@ def weyl0_character(chi: HighestWeight) -> CharPoly:
 # ---------------------------------------------------------------------------
 # the alternation tail shared by the formula engine and the lattice oracle
 
-@lru_cache(maxsize=None)
-def _q_by_odd_degree(m: int, n: int
-                     ) -> tuple[tuple[tuple[Vec, tuple[tuple[Vec, int], ...]], ...], ...]:
-    """Terms of the odd factor grouped by odd degree, then by even part:
-    entry k (0 <= k <= m*n) holds (even part, ((odd part, coeff), ...)) for
-    the terms whose odd exponents sum to k."""
-    groups: list[dict[Vec, list[tuple[Vec, int]]]] = [{} for _ in range(m * n + 1)]
-    for v, c in q_odd_product(m, n).terms.items():
-        groups[sum(v[m:])].setdefault(v[:m], []).append((v[m:], c))
-    return tuple(tuple((qe, tuple(odd)) for qe, odd in g.items()) for g in groups)
-
-
 def alternate_tail(m: int, n: int, num: dict[Vec, object],
                    slice_lo: int, slice_hi: int,
                    window: Window | None = None) -> CharPoly:
@@ -444,18 +433,22 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
     e^rho * prod_even (1 - e^{-alpha}), the numerator of the normalized
     denominator pair; with a window, only its terms inside the window.
 
-    Q (the odd factor) is W0-invariant and the slice is W0-stable, so
-    J(num) * Q = J(fold(num) * Q): the numerator is folded onto strictly
-    decreasing representatives before Q is touched, only Q's terms whose odd
-    degree keeps the product inside the slice are visited, and the product
-    is folded again, one block at a time.  A folded term e^omega contributes
-    J(e^omega) / (e^rho prod(1 - e^{-alpha})), the product of the two Laurent
-    Schur blocks of highest weight omega - rho.  A window is a product of
-    per-slot intervals, so a monomial lies in it exactly when its even part
-    lies in window.eps and its odd part in window.delta: each block is
-    expanded inside its half of the window only (_schur_block), which equals
-    the whole expansion restricted to the window.  Coefficients are scaled to
-    integers for the tail and divided back once at the end.
+    J commutes with multiplying by anything W0-invariant and the slice is
+    W0-stable, so J(num * Q) = J(fold(num) * Q).  Q, the product of the m*n
+    binomials (1 + e^{-(eps_i - delta_j)}), is applied one binomial at a
+    time, j (odd slot) outer and i (even slot) inner.  A binomial adds 0 or 1
+    to a term's odd degree d, so with k binomials left the term ends in
+    [d, d + k]: keeping slice_lo - m*n <= d <= slice_hi at the start, then
+    the untaken branch only while d + k >= slice_lo and the step only while
+    d < slice_hi, drops exactly the terms that cannot end in the slice.
+    Once column j is done the binomials left are symmetric in the even
+    block, so the even block is folded there; the odd block is folded once,
+    after the last column.  A folded term e^omega contributes the product
+    of the two Laurent Schur blocks of highest weight omega - rho.  A window
+    is a product of per-slot intervals, so each block is expanded inside its
+    half of the window only (_schur_block), which equals the whole expansion
+    restricted to the window.  Coefficients are scaled to integers for the
+    tail and divided back once at the end.
     """
     scale = 1
     for c in num.values():
@@ -463,32 +456,28 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
             scale = lcm(scale, c.denominator)
     folded = _fold(m, ((v, int(c * scale)) for v, c in num.items()))
 
-    by_degree = _q_by_odd_degree(m, n)
-    omegas: dict[Vec, int] = {}
-    for v, c in folded.items():
-        ve, vd = v[:m], v[m:]
-        d = sum(vd)
-        odd_folds: dict[Vec, tuple[int, Vec | None]] = {}
-        for k in range(max(0, slice_lo - d), min(m * n, slice_hi - d) + 1):
-            for qe, odd_terms in by_degree[k]:
-                se, re = _sort_desc_signed(tuple(map(add, ve, qe)))
-                if not se:
-                    continue
-                for qd, qc in odd_terms:
-                    fd = odd_folds.get(qd)
-                    if fd is None:
-                        fd = odd_folds[qd] = _sort_desc_signed(tuple(map(add, vd, qd)))
-                    if fd[0]:
-                        w = re + fd[1]
-                        omegas[w] = omegas.get(w, 0) + (c * qc if se == fd[0] else -c * qc)
+    left = m * n
+    terms = {v: c for v, c in folded.items()
+             if slice_lo - left <= sum(v[m:]) <= slice_hi}
+    for j in range(m, m + n):
+        for i in range(m):
+            left -= 1
+            step = tuple(-1 if s == i else 1 if s == j else 0 for s in range(m + n))
+            nxt: dict[Vec, int] = {}
+            for v, c in terms.items():
+                d = sum(v[m:])
+                if d + left >= slice_lo:
+                    _acc(nxt, v, c)
+                if d < slice_hi:
+                    _acc(nxt, tuple(map(add, v, step)), c)
+            terms = nxt
+        terms = _fold(m, terms.items(), odd=j == m + n - 1)
 
     # group by the even block so each even Schur block is expanded once
     rho = rho_exponent(m, n)
     eps_box, delta_box = (window.eps, window.delta) if window else (None, None)
     odd_parts: dict[Vec, dict[Vec, int]] = {}
-    for w, c in omegas.items():
-        if not c:
-            continue
+    for w, c in terms.items():
         lam = tuple(map(sub, w[:m], rho[:m]))
         inner = odd_parts.setdefault(lam, {})
         for vd, cd in _schur_block(tuple(map(sub, w[m:], rho[m:])), delta_box):
@@ -714,14 +703,17 @@ def irreducible_char(chi: HighestWeight, variant: str = "classic",
     series is cut short while its next term still lies in the slice.  At or
     above it the result equals the untruncated one; below it
     TruncationInstability is raised with the bound as suggested_depth.
-    auto_depth never falls below it.
+    auto_depth never falls below it.  A depth not 'auto' or an int raises.
     """
     if variant not in ("classic", "reduced"):
         raise ValueError(f"unknown variant {variant!r}")
-    depth_val = auto_depth(chi) if depth == "auto" else int(depth)
-    if depth_val < 0:
+    if depth == "auto":
+        depth = auto_depth(chi)
+    elif not isinstance(depth, int) or isinstance(depth, bool):
+        raise ValueError(f"depth must be 'auto' or an int, not {depth!r}")
+    if depth < 0:
         raise ValueError("depth must be non-negative")
-    return _engine(chi, variant, depth_val)
+    return _engine(chi, variant, depth)
 
 
 def engine_summand_count(chi: HighestWeight, variant: str = "classic") -> int:

@@ -197,13 +197,16 @@ def oracle_char_lattice(f: WeightDiagram, window: Window,
     normalized denominator.  The shared tail (alternate_tail) gets the window
     and expands each Schur block inside it only, so no monomial outside the
     window is built.  Sign conventions are coded independently of
-    epsilon_sign."""
+    epsilon_sign.  The default cutoff min(crosses) - m*n is exact: a cross
+    value x never exceeds its cross c and a point's odd degree is
+    base_delta + sum(c - x), so a value below the cutoff puts the point above
+    slice_hi = base_delta + m*n, where the slice check drops it."""
     m, n = f.m, f.n
     crosses = f.crosses
     base_delta = sum(-b for b in _b_list(f))
     slice_lo, slice_hi = base_delta, base_delta + m * n
     if cutoff is None:
-        cutoff = (min(crosses) if crosses else 0) - m * n - 1
+        cutoff = (min(crosses) if crosses else 0) - m * n
 
     entries = pi_map(f)
     positions = f.positions()

@@ -427,8 +427,9 @@ def test_q_odd_product_symmetry():
     assert dimension_eval(q) == 2 ** 4
 
 
-def test_gl43_trivial_module():
-    chi = HighestWeight(4, 3, (0, 0, 0, 0), (0, 0, 0))
+@pytest.mark.parametrize("m,n", [(4, 3), (4, 4)])
+def test_gl43_trivial_module(m, n):
+    chi = HighestWeight(m, n, (0,) * m, (0,) * n)
     ch = irreducible_char(chi)
-    assert ch == CharPoly.monomial(4, 3, (0,) * 7)
+    assert ch == CharPoly.monomial(m, n, (0,) * (m + n))
     assert dimension_eval(ch) == 1

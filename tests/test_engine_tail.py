@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from superchar import charring
 from superchar.charring import (
     TruncationInstability,
     Window,
@@ -14,11 +15,12 @@ from superchar.charring import (
     auto_depth,
     irreducible_char,
 )
-from superchar.weights import HighestWeight
+from superchar.oracle import oracle_char_lattice
+from superchar.weights import HighestWeight, diagram_of_weight
 
 from helpers import dominant_weights, tail_by_division
 
-SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3)]
+SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)]
 
 
 def _random_numerator(rng, m, n, fractions):
@@ -122,3 +124,32 @@ def test_witness_is_exact_at_the_bound(variant):
                 == irreducible_char(chi, variant)), chi
         checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize("depth", [2.9, 4.5, 4.0, True, "4", None])
+def test_depth_must_be_auto_or_an_int(depth):
+    chi = HighestWeight(2, 2, (1, 1), (-1, -1))
+    with pytest.raises(ValueError) as exc:
+        irreducible_char(chi, depth=depth)
+    assert repr(depth) in str(exc.value)
+
+
+def test_tail_never_expands_the_whole_odd_factor(monkeypatch):
+    # the tail applies Q one binomial at a time, so both of its callers give
+    # the same results with the full product unavailable
+    cases = [HighestWeight(2, 2, (1, 0), (0, -1)),
+             HighestWeight(3, 2, (1, 1, 0), (0, -1)),
+             HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3))]
+    expected = []
+    for chi in cases:
+        ch = irreducible_char(chi)
+        window = Window.hull(ch, margin=1)
+        expected.append((ch, window, oracle_char_lattice(diagram_of_weight(chi), window)))
+
+    def unavailable(m, n):
+        raise AssertionError("the full odd factor was expanded")
+
+    monkeypatch.setattr(charring, "q_odd_product", unavailable)
+    for chi, (ch, window, lattice) in zip(cases, expected):
+        assert irreducible_char(chi) == ch, chi
+        assert oracle_char_lattice(diagram_of_weight(chi), window) == lattice, chi

@@ -211,6 +211,33 @@ def test_relocations_below_cutoff_bound_miss_the_window():
     assert below  # the enumeration at bound - 3 does reach below the bound
 
 
+class _Captured(Exception):
+    pass
+
+
+def test_lattice_points_below_default_cutoff_leave_the_slice(monkeypatch):
+    # the order polyhedron and cutoff oracle_char_lattice would enumerate
+    def capture(poly, cutoff):
+        raise _Captured(poly, cutoff)
+
+    monkeypatch.setattr(oracle_module, "enumerate_lattice", capture)
+    below = 0
+    for chi, f, window, _ in _cutoff_cases():
+        with pytest.raises(_Captured) as info:
+            oracle_char_lattice(f, window)
+        poly, default = info.value.args
+        assert default == min(f.crosses) - f.m * f.n, chi
+        positions = f.positions()
+        cross_slots = [k for k, p in enumerate(positions) if f.symbol(p) == CROSS]
+        odd_slots = [k for k, p in enumerate(positions) if f.symbol(p) in (CROSS, LESS)]
+        slice_hi = -sum(positions[k] for k in odd_slots) + f.m * f.n
+        for x in enumerate_lattice(poly, default - 3):
+            if min(x[k] for k in cross_slots) < default:
+                below += 1
+                assert -sum(x[k] for k in odd_slots) > slice_hi, (chi, x)
+    assert below  # the enumeration at default - 3 does reach below the default
+
+
 def test_cutoff_above_bound_raises_with_the_bound():
     for chi, f, window, bound in _cutoff_cases():
         with pytest.raises(OracleInstability) as info:
