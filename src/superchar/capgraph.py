@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .caps import CapForest, SegmentData
 from .weights import InvariantError
@@ -267,16 +267,48 @@ def embed_disjoint(left: Forest, right: Forest) -> Forest:
 def theta(forest: Forest) -> ThetaPoly:
     """Alternating sum over spanning subgraphs: each contributes its extension
     count over r!, signed by edge parity, on the monomial recording how far
-    every vertex sits above its component minimum."""
-    r = len(forest.labels)
+    every vertex sits above its component minimum.
+
+    The input is a nesting forest: every vertex has at most one parent (a
+    vertex with two raises ValueError).  A spanning subgraph is then an edge
+    mask, walked without building it.  Labels grow along every edge, so
+    vertex index order is a topological order.  A forward pass over the kept
+    edges in child order sets root[j] = root[i] after root[i] is final; the
+    root of a component is its only vertex without a kept parent, so it
+    carries the component's smallest label.  A backward pass adds each
+    child's subtree size into its parent after the child's is final.  Every
+    kept subgraph is a rooted forest with edges pointing away from its roots,
+    so by the hook-length formula it has r! / prod(subtree sizes) linear
+    extensions, an integer: the numerators over r! are summed exactly as
+    integers and the coefficient is (-1)^|mask| / prod(subtree sizes).
+    """
+    labels = forest.labels
+    r = len(labels)
+    children: set[int] = set()
+    for _, j in forest.edges:
+        if j in children:
+            raise ValueError(f"vertex {j} has two parents; theta needs a nesting forest")
+        children.add(j)
+    # (mask bit, parent, child) in child order; bit k is the k-th sorted edge
+    walk = sorted(((1 << k, i, j) for k, (i, j) in enumerate(sorted(forest.edges))),
+                  key=lambda e: e[2])
+    back = walk[::-1]
     rfact = factorial(r)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for delta in subgraphs(forest):
-        mins = _component_min_vertex(delta)
-        exps = tuple(delta.labels[mins[i]] - delta.labels[i] for i in range(r))
-        coeff = Fraction((-1) ** len(delta.edges) * linear_extensions(delta), rfact)
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return ThetaPoly(r, terms)
+    numerators: dict[tuple[int, ...], int] = {}
+    for mask in range(1 << len(walk)):
+        root = list(range(r))
+        size = [1] * r
+        for bit, i, j in walk:
+            if mask & bit:
+                root[j] = root[i]
+        for bit, i, j in back:
+            if mask & bit:
+                size[i] += size[j]
+        exps = tuple(labels[root[v]] - labels[v] for v in range(r))
+        count = rfact // prod(size)
+        numerators[exps] = numerators.get(exps, 0) + (
+            -count if mask.bit_count() & 1 else count)
+    return ThetaPoly(r, {e: Fraction(c, rfact) for e, c in numerators.items()})
 
 
 def special_edges(forest: Forest, sd: SegmentData) -> frozenset[Edge]:

@@ -447,14 +447,10 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
     of the two Laurent Schur blocks of highest weight omega - rho.  A window
     is a product of per-slot intervals, so each block is expanded inside its
     half of the window only (_schur_block), which equals the whole expansion
-    restricted to the window.  Coefficients are scaled to integers for the
-    tail and divided back once at the end.
+    restricted to the window.  Coefficients may be ints or Fractions; the
+    formula engine scales its numerator to ints before calling (_engine).
     """
-    scale = 1
-    for c in num.values():
-        if isinstance(c, Fraction):
-            scale = lcm(scale, c.denominator)
-    folded = _fold(m, ((v, int(c * scale)) for v, c in num.items()))
+    folded = _fold(m, num.items())
 
     left = m * n
     terms = {v: c for v, c in folded.items()
@@ -487,8 +483,6 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
         for ve, ce in _schur_block(lam, eps_box):
             for vd, cd in inner.items():
                 _acc(out, ve + vd, ce * cd)
-    if scale != 1:
-        out = {v: Fraction(c, scale) for v, c in out.items()}
     return CharPoly(m, n, out)
 
 
@@ -780,10 +774,14 @@ def _engine(chi: HighestWeight, variant: str, depth: int) -> CharPoly:
                 f"odd-degree slice",
                 suggested_depth=bound)
 
-    # each step vec -= alpha (alpha = eps_i - delta_j) raises the odd degree
-    # by one, so a series runs from a term's odd degree up to slice_hi
+    # theta's coefficients are rationals: scale them to integers once, run
+    # the series and the tail on ints, and divide back once at the end.
+    # Each step vec -= alpha (alpha = eps_i - delta_j) raises the odd degree
+    # by one, so a series runs from a term's odd degree up to slice_hi.
+    scale = lcm(*(c.denominator for c in num.values()))
+    num = {v: int(c * scale) for v, c in num.items()}
     for alpha in alphas:
-        nxt: dict[Vec, object] = {}
+        nxt: dict[Vec, int] = {}
         for v, c in num.items():
             vec = list(v)
             for _ in range(slice_hi - sum(v[m:]) + 1):
@@ -792,7 +790,8 @@ def _engine(chi: HighestWeight, variant: str, depth: int) -> CharPoly:
                 for k in range(m + n):
                     vec[k] -= alpha[k]
         num = nxt
-    return alternate_tail(m, n, num, slice_lo, slice_hi)
+    tail = alternate_tail(m, n, num, slice_lo, slice_hi)
+    return tail if scale == 1 else tail.scale(Fraction(1, scale))
 
 
 # ---------------------------------------------------------------------------

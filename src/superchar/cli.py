@@ -295,8 +295,7 @@ def cmd_theta(args) -> int:
 def cmd_proj(args) -> int:
     chi = _weight_from_args(args)
     f = diagram_of_weight(chi)
-    members = sorted(projective_family(f),
-                     key=lambda d: tuple(sorted(d.symbols.items())))
+    members = sorted(projective_family(f), key=lambda d: tuple(d.symbols.items()))
     if args.format == "json":
         print(json.dumps([{str(p): s for p, s in d.symbols.items()}
                           for d in members], indent=2, sort_keys=True))
@@ -323,13 +322,24 @@ def _grid(m: int, n: int, lo: int, hi: int):
             yield HighestWeight(m, n, lam, mu)
 
 
-def _suite_kac() -> dict:
+def _once(memo: dict | None, fn, arg):
+    """fn(arg), computed once per verify run: memo is shared by the suites of
+    one cmd_verify call (None when a suite runs alone)."""
+    if memo is None:
+        return fn(arg)
+    key = (fn.__name__, arg)
+    if key not in memo:
+        memo[key] = fn(arg)
+    return memo[key]
+
+
+def _suite_kac(memo: dict | None) -> dict:
     checked = 0
     for (m, n) in [(1, 1), (2, 1), (2, 2)]:
         num, den = dhat_denominator(m, n)
         for chi in _grid(m, n, -2, 2):
             f = diagram_of_weight(chi)
-            lhs = num * kac_char(f)
+            lhs = num * _once(memo, kac_char, f)
             rhs = alt_J(CharPoly.monomial(m, n, chi_plus_rho_exponent(chi))) * den
             if lhs != rhs:
                 return {"ok": False, "checked": checked,
@@ -338,12 +348,12 @@ def _suite_kac() -> dict:
     return {"ok": True, "checked": checked}
 
 
-def _suite_oracle(cutoff: int | None = None) -> dict:
+def _suite_oracle(memo: dict | None, cutoff: int | None = None) -> dict:
     checked = 0
     for (m, n) in [(1, 1), (2, 1), (2, 2)]:
         for chi in _grid(m, n, -2, 2):
             f = diagram_of_weight(chi)
-            ch = irreducible_char(chi)
+            ch = _once(memo, irreducible_char, chi)
             window = Window.hull(ch, margin=1)
             if oracle_char(f, window, cutoff=cutoff) != ch:
                 return {"ok": False, "checked": checked,
@@ -352,11 +362,11 @@ def _suite_oracle(cutoff: int | None = None) -> dict:
     return {"ok": True, "checked": checked}
 
 
-def _suite_variants() -> dict:
+def _suite_variants(memo: dict | None) -> dict:
     checked = 0
     for (m, n) in [(1, 1), (2, 1), (2, 2)]:
         for chi in _grid(m, n, -2, 2):
-            if irreducible_char(chi) != irreducible_char(chi, variant="reduced"):
+            if _once(memo, irreducible_char, chi) != irreducible_char(chi, variant="reduced"):
                 return {"ok": False, "checked": checked,
                         "failure": f"lambda={chi.lam} mu={chi.mu}"}
             checked += 1
@@ -368,7 +378,7 @@ def _ab_text(f: WeightDiagram) -> str:
     return f"A={list(ab.A)} B={list(ab.B)}"
 
 
-def _suite_orthogonality() -> dict:
+def _suite_orthogonality(memo: dict | None) -> dict:
     reports = []
     for (window, m, n, r_max) in [((0, 5), 1, 1, 1), ((0, 6), 2, 2, 2)]:
         rep = orthogonality_report(window, m, n, r_max)
@@ -382,12 +392,12 @@ def _suite_orthogonality() -> dict:
     return {"ok": True, "reports": reports}
 
 
-def _suite_supersymmetry() -> dict:
+def _suite_supersymmetry(memo: dict | None) -> dict:
     checked = 0
     for (m, n) in [(1, 1), (2, 1), (2, 2)]:
         for chi in _grid(m, n, -2, 2):
             f = diagram_of_weight(chi)
-            for p in (kac_char(f), irreducible_char(chi)):
+            for p in (_once(memo, kac_char, f), _once(memo, irreducible_char, chi)):
                 if not supersymmetry_check(p):
                     return {"ok": False, "checked": checked,
                             "failure": f"lambda={chi.lam} mu={chi.mu}"}
@@ -395,7 +405,7 @@ def _suite_supersymmetry() -> dict:
     return {"ok": True, "checked": checked}
 
 
-def _suite_theta_mult() -> dict:
+def _suite_theta_mult(memo: dict | None) -> dict:
     import random
 
     from .capgraph import embed_disjoint
@@ -432,6 +442,7 @@ def _random_crosses(rng) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+# Each suite takes the memo of its verify run (_once).
 SUITES = {
     "kac": _suite_kac,
     "oracle": _suite_oracle,
@@ -451,13 +462,15 @@ def cmd_verify(args) -> int:
             return EXIT_BAD_INPUT
     report = {}
     all_ok = True
+    # the characters several suites check, kept only while this run lasts
+    memo = {} if len(names) > 1 else None
     for name in names:
         start = time.monotonic()
         try:
             if name == "oracle" and args.cutoff is not None:
-                result = SUITES[name](cutoff=args.cutoff)
+                result = SUITES[name](memo, cutoff=args.cutoff)
             else:
-                result = SUITES[name]()
+                result = SUITES[name](memo)
         except (OracleInstability, TruncationInstability) as exc:
             result = {"ok": False, "failure": str(exc)}
         result["seconds"] = round(time.monotonic() - start, 3)

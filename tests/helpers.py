@@ -5,15 +5,20 @@ cap ends come from a stack matcher, extension counts from filtering raw
 permutations, Schur weights from semistandard tableaux or a ratio of
 alternants, lattice points from plain nested loops, the alternation tail from
 full-orbit expansion and exact division instead of folding and Schur-block
-assembly, the orthogonality product by pairing every row with every column.
+assembly, theta from one built subgraph per edge subset instead of an
+edge-mask walk, the orthogonality product by pairing every row with every
+column.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from superchar import oracle
+from superchar.capgraph import ThetaPoly, _component_min_vertex, linear_extensions, subgraphs
 from superchar.caps import projective_family
 from superchar.charring import (
     CharPoly,
@@ -125,6 +130,21 @@ def all_rooted_forests(max_vertices: int):
         for forest in forests(n):
             out.append(materialize(forest))
     return out
+
+
+def theta_by_subgraphs(forest) -> ThetaPoly:
+    """capgraph.theta the long way round: build every spanning subgraph, find
+    its component minima by a component search and count its linear
+    extensions, each over r! and signed by edge parity."""
+    r = len(forest.labels)
+    rfact = factorial(r)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for delta in subgraphs(forest):
+        mins = _component_min_vertex(delta)
+        exps = tuple(delta.labels[mins[i]] - delta.labels[i] for i in range(r))
+        coeff = Fraction((-1) ** len(delta.edges) * linear_extensions(delta), rfact)
+        terms[exps] = terms.get(exps, Fraction(0)) + coeff
+    return ThetaPoly(r, terms)
 
 
 def ssyt_weight_multiplicities(lam: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:

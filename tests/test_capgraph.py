@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from superchar.capgraph import (
     Forest,
@@ -25,9 +27,14 @@ from superchar.capgraph import (
     component_min,
 )
 from superchar.caps import cap_diagram, segment_data
-from superchar.weights import CROSS, WeightDiagram
+from superchar.weights import CROSS, GREATER, LESS, WeightDiagram
 
-from helpers import all_rooted_forests, brute_extension_count, random_diagram
+from helpers import (
+    all_rooted_forests,
+    brute_extension_count,
+    random_diagram,
+    theta_by_subgraphs,
+)
 
 
 def forest_of(*crosses):
@@ -175,6 +182,38 @@ def test_theta_at_one():
     assert theta(g).eval_at_ones() == Fraction(total, 6)
     edgeless = Forest((0, 5), frozenset())
     assert theta(edgeless).eval_at_ones() == 1
+
+
+@st.composite
+def _nesting_forests(draw, r_max=8):
+    """gamma of a cap diagram with 1..r_max crosses and up to two core
+    symbols; r crosses on at most 2r positions nest often."""
+    r = draw(st.integers(1, r_max))
+    span = draw(st.integers(r, 2 * r))
+    crosses = draw(st.sets(st.integers(0, span - 1), min_size=r, max_size=r))
+    cores = draw(st.dictionaries(st.integers(0, span).filter(lambda p: p not in crosses),
+                                 st.sampled_from([LESS, GREATER]), max_size=2))
+    return gamma(cap_diagram(WeightDiagram({**cores, **{c: CROSS for c in crosses}})))
+
+
+@given(_nesting_forests())
+def test_theta_matches_subgraph_route(g):
+    th, reference = theta(g), theta_by_subgraphs(g)
+    assert th.terms == reference.terms
+    assert str(th) == str(reference)
+
+
+@given(_nesting_forests(4), _nesting_forests(4))
+def test_theta_matches_subgraph_route_on_disjoint_unions(g1, g2):
+    union = embed_disjoint(g1, g2)
+    assert theta(union).terms == theta_by_subgraphs(union).terms
+
+
+def test_theta_rejects_a_vertex_with_two_parents():
+    # a valid Forest (no cycle ignoring orientation), but not a nesting forest
+    g = Forest((0, 1, 2), frozenset({(0, 2), (1, 2)}))
+    with pytest.raises(ValueError, match="vertex 2 has two parents"):
+        theta(g)
 
 
 def test_special_edges():
