@@ -125,12 +125,19 @@ def _component_min_vertex(delta: Forest) -> dict[int, int]:
     return out
 
 
+def _second_parent(forest: Forest) -> int | None:
+    """A vertex with two incoming edges, or None when there is none."""
+    children: set[int] = set()
+    for _, j in forest.edges:
+        if j in children:
+            return j
+        children.add(j)
+    return None
+
+
 def is_out_forest(forest: Forest) -> bool:
     """True when every vertex has at most one incoming edge."""
-    indeg: dict[int, int] = {}
-    for _, j in forest.edges:
-        indeg[j] = indeg.get(j, 0) + 1
-    return all(d <= 1 for d in indeg.values())
+    return _second_parent(forest) is None
 
 
 def linear_extensions_hook(forest: Forest) -> int:
@@ -284,11 +291,9 @@ def theta(forest: Forest) -> ThetaPoly:
     """
     labels = forest.labels
     r = len(labels)
-    children: set[int] = set()
-    for _, j in forest.edges:
-        if j in children:
-            raise ValueError(f"vertex {j} has two parents; theta needs a nesting forest")
-        children.add(j)
+    v = _second_parent(forest)
+    if v is not None:
+        raise ValueError(f"vertex {v} has two parents; theta needs a nesting forest")
     # (mask bit, parent, child) in child order; bit k is the k-th sorted edge
     walk = sorted(((1 << k, i, j) for k, (i, j) in enumerate(sorted(forest.edges))),
                   key=lambda e: e[2])

@@ -322,18 +322,16 @@ def _grid(m: int, n: int, lo: int, hi: int):
             yield HighestWeight(m, n, lam, mu)
 
 
-def _once(memo: dict | None, fn, arg):
+def _once(memo: dict, fn, arg):
     """fn(arg), computed once per verify run: memo is shared by the suites of
-    one cmd_verify call (None when a suite runs alone)."""
-    if memo is None:
-        return fn(arg)
+    one cmd_verify call and dropped when it returns."""
     key = (fn.__name__, arg)
     if key not in memo:
         memo[key] = fn(arg)
     return memo[key]
 
 
-def _suite_kac(memo: dict | None) -> dict:
+def _suite_kac(memo: dict) -> dict:
     checked = 0
     for (m, n) in [(1, 1), (2, 1), (2, 2)]:
         num, den = dhat_denominator(m, n)
@@ -348,7 +346,7 @@ def _suite_kac(memo: dict | None) -> dict:
     return {"ok": True, "checked": checked}
 
 
-def _suite_oracle(memo: dict | None, cutoff: int | None = None) -> dict:
+def _suite_oracle(memo: dict, cutoff: int | None = None) -> dict:
     checked = 0
     for (m, n) in [(1, 1), (2, 1), (2, 2)]:
         for chi in _grid(m, n, -2, 2):
@@ -362,7 +360,7 @@ def _suite_oracle(memo: dict | None, cutoff: int | None = None) -> dict:
     return {"ok": True, "checked": checked}
 
 
-def _suite_variants(memo: dict | None) -> dict:
+def _suite_variants(memo: dict) -> dict:
     checked = 0
     for (m, n) in [(1, 1), (2, 1), (2, 2)]:
         for chi in _grid(m, n, -2, 2):
@@ -378,7 +376,7 @@ def _ab_text(f: WeightDiagram) -> str:
     return f"A={list(ab.A)} B={list(ab.B)}"
 
 
-def _suite_orthogonality(memo: dict | None) -> dict:
+def _suite_orthogonality() -> dict:
     reports = []
     for (window, m, n, r_max) in [((0, 5), 1, 1, 1), ((0, 6), 2, 2, 2)]:
         rep = orthogonality_report(window, m, n, r_max)
@@ -392,7 +390,7 @@ def _suite_orthogonality(memo: dict | None) -> dict:
     return {"ok": True, "reports": reports}
 
 
-def _suite_supersymmetry(memo: dict | None) -> dict:
+def _suite_supersymmetry(memo: dict) -> dict:
     checked = 0
     for (m, n) in [(1, 1), (2, 1), (2, 2)]:
         for chi in _grid(m, n, -2, 2):
@@ -405,7 +403,7 @@ def _suite_supersymmetry(memo: dict | None) -> dict:
     return {"ok": True, "checked": checked}
 
 
-def _suite_theta_mult(memo: dict | None) -> dict:
+def _suite_theta_mult() -> dict:
     import random
 
     from .capgraph import embed_disjoint
@@ -442,7 +440,6 @@ def _random_crosses(rng) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-# Each suite takes the memo of its verify run (_once).
 SUITES = {
     "kac": _suite_kac,
     "oracle": _suite_oracle,
@@ -463,14 +460,13 @@ def cmd_verify(args) -> int:
     report = {}
     all_ok = True
     # the characters several suites check, kept only while this run lasts
-    memo = {} if len(names) > 1 else None
+    memo: dict = {}
+    suite_args = {"kac": (memo,), "oracle": (memo, args.cutoff),
+                  "variants": (memo,), "supersymmetry": (memo,)}
     for name in names:
         start = time.monotonic()
         try:
-            if name == "oracle" and args.cutoff is not None:
-                result = SUITES[name](memo, cutoff=args.cutoff)
-            else:
-                result = SUITES[name](memo)
+            result = SUITES[name](*suite_args.get(name, ()))
         except (OracleInstability, TruncationInstability) as exc:
             result = {"ok": False, "failure": str(exc)}
         result["seconds"] = round(time.monotonic() - start, 3)
