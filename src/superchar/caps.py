@@ -110,18 +110,34 @@ def _swap(f: WeightDiagram, cf: CapForest, swap: Iterable[int]) -> WeightDiagram
     return WeightDiagram(symbols)
 
 
+def family_pairs(f: WeightDiagram) -> tuple[dict[int, str], tuple[tuple[int, int], ...]]:
+    """The projective family of f as its core symbols and its (cross, cap end)
+    pairs, crosses ascending: each of the 2^r members keeps the cores and puts
+    one cross on each pair.
+
+    The 2r pair positions are checked distinct and off the cores, which makes
+    the 2^r members distinct.
+    """
+    cf = cap_diagram(f)
+    cores = {p: s for p, s in f.symbols.items() if s != CROSS}
+    pairs = tuple((c, cf.cap_end[c]) for c in cf.crosses)
+    held = {p for pair in pairs for p in pair}
+    if len(held) != 2 * len(pairs) or not held.isdisjoint(cores):
+        raise InvariantError(
+            f"cross and cap end pairs {list(pairs)} are not "
+            f"{2 * len(pairs)} distinct positions off the cores")
+    return cores, pairs
+
+
 def projective_family(f: WeightDiagram) -> set[WeightDiagram]:
     """All 2^r diagrams obtained by swapping a subset of crosses with cap ends."""
-    cf = cap_diagram(f)
-    crosses = cf.crosses
+    cores, pairs = family_pairs(f)
     family: set[WeightDiagram] = set()
-    for mask in range(1 << len(crosses)):
-        family.add(_swap(f, cf, [crosses[i] for i in range(len(crosses))
-                                 if mask >> i & 1]))
-    if len(family) != 1 << len(crosses):
-        raise InvariantError(
-            f"projective family has {len(family)} members, "
-            f"not 2^{len(crosses)}")
+    for mask in range(1 << len(pairs)):
+        symbols = dict(cores)
+        for i, pair in enumerate(pairs):
+            symbols[pair[mask >> i & 1]] = CROSS
+        family.add(WeightDiagram(symbols))
     return family
 
 

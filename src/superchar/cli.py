@@ -8,13 +8,14 @@ Exit codes: 0 success, 2 invalid input, 3 truncation instability,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from fractions import Fraction
 
 from .capgraph import gamma, theta, theta_tilde
-from .caps import cap_diagram, projective_family, render_caps, segment_data
+from .caps import cap_diagram, family_pairs, render_caps, segment_data
 from .charring import (
     CharPoly,
     TruncationInstability,
@@ -30,6 +31,9 @@ from .charring import (
 )
 from .oracle import OracleInstability, oracle_char, orthogonality_report
 from .weights import (
+    CROSS,
+    GREATER,
+    LESS,
     ABPair,
     HighestWeight,
     InvariantError,
@@ -294,16 +298,29 @@ def cmd_theta(args) -> int:
 
 def cmd_proj(args) -> int:
     chi = _weight_from_args(args)
-    f = diagram_of_weight(chi)
-    members = sorted(projective_family(f), key=lambda d: tuple(d.symbols.items()))
+    cores, pairs = family_pairs(diagram_of_weight(chi))
+    symbol = {**cores, **{p: CROSS for pair in pairs for p in pair}}
+    # a member is the mask of the positions it holds, the smallest position
+    # in the top bit; a position carries the same symbol in every member, so
+    # descending masks are the members by ascending (position, symbol) items
+    ascending = sorted(symbol)
+    bit = {p: 1 << (len(ascending) - 1 - k) for k, p in enumerate(ascending)}
+    members = [sum(bit[p] for p in cores)]
+    for c, e in pairs:
+        members = [m | bit[c] for m in members] + [m | bit[e] for m in members]
+    members.sort(reverse=True)
     if args.format == "json":
-        print(json.dumps([{str(p): s for p, s in d.symbols.items()}
-                          for d in members], indent=2, sort_keys=True))
+        # the lines json.dumps(indent=2, sort_keys=True) gives, keys as strings
+        lines = [(f'    "{p}": "{symbol[p]}"', bit[p]) for p in sorted(symbol, key=str)]
+        blocks = (",\n".join([line for line, b in lines if m & b]) for m in members)
+        print("[\n  {\n" + "\n  },\n  {\n".join(blocks) + "\n  }\n]")
     else:
+        a_side = [(str(p), bit[p]) for p in reversed(ascending) if symbol[p] != LESS]
+        b_side = [(str(p), bit[p]) for p in ascending if symbol[p] != GREATER]
         print(f"{len(members)} diagrams in the projective family:")
-        for d in members:
-            ab = ab_from_diagram(d)
-            print(f"  A = {list(ab.A)}  B = {list(ab.B)}")
+        print("\n".join("  A = [" + ", ".join([p for p, b in a_side if m & b])
+                        + "]  B = [" + ", ".join([p for p, b in b_side if m & b]) + "]"
+                        for m in members))
     return EXIT_OK
 
 
@@ -407,7 +424,6 @@ def _suite_theta_mult() -> dict:
     import random
 
     from .capgraph import embed_disjoint
-    from .weights import CROSS
 
     rng = random.Random(20240817)
     checked = 0
@@ -558,9 +574,12 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+# built by the first main call of a process and reused by every later one
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(
+    args = _parser().parse_args(_join_negative_values(
         list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)

@@ -7,19 +7,20 @@ alternants, lattice points from plain nested loops, the alternation tail from
 full-orbit expansion and exact division instead of folding and Schur-block
 assembly, theta from one built subgraph per edge subset instead of an
 edge-mask walk, the orthogonality product by pairing every row with every
-column.
+column, the proj output from one swapped diagram per subset of crosses.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from superchar import oracle
 from superchar.capgraph import ThetaPoly, _component_min_vertex, linear_extensions, subgraphs
-from superchar.caps import projective_family
+from superchar.caps import _swap, cap_diagram, projective_family
 from superchar.charring import (
     CharPoly,
     alt_J,
@@ -28,7 +29,7 @@ from superchar.charring import (
     q_odd_product,
     rho_exponent,
 )
-from superchar.weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram
+from superchar.weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram, ab_from_diagram
 
 
 def dominant_weights(m, n, lo, hi):
@@ -259,3 +260,22 @@ def orthogonality_dense(window, m, n, r_max):
                 first_failure = (f, g, pairing)
     return oracle.OrthogonalityReport(len(family), interior, tuple(excluded),
                                       first_failure)
+
+
+def proj_output_by_diagrams(f: WeightDiagram, fmt: str) -> str:
+    """What `superchar proj` prints for f, the long way round: one swapped
+    diagram per subset of crosses, sorted by their (position, symbol) items,
+    then json.dumps or ab_from_diagram on every member."""
+    cf = cap_diagram(f)
+    crosses = cf.crosses
+    members = sorted((_swap(f, cf, [c for i, c in enumerate(crosses) if mask >> i & 1])
+                      for mask in range(1 << len(crosses))),
+                     key=lambda d: tuple(d.symbols.items()))
+    if fmt == "json":
+        return json.dumps([{str(p): s for p, s in d.symbols.items()} for d in members],
+                          indent=2, sort_keys=True) + "\n"
+    lines = [f"{len(members)} diagrams in the projective family:"]
+    for d in members:
+        ab = ab_from_diagram(d)
+        lines.append(f"  A = {list(ab.A)}  B = {list(ab.B)}")
+    return "\n".join(lines) + "\n"

@@ -1,18 +1,43 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import superchar
 import superchar.caps
 import superchar.cli as cli
 import superchar.oracle
 import superchar.weights
+from superchar.weights import (
+    CROSS,
+    GREATER,
+    LESS,
+    ABPair,
+    WeightDiagram,
+    ab_from_diagram,
+    build_diagram,
+)
+
+from helpers import proj_output_by_diagrams
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _diagram(ab_text):
+    a, b = (tuple(map(int, side.split(","))) for side in ab_text.split(":"))
+    return build_diagram(ABPair(a, b))
+
+
+def _ab_arg(f):
+    ab = ab_from_diagram(f)
+    return ",".join(map(str, ab.A)) + ":" + ",".join(map(str, ab.B))
 
 
 def test_char_gl11_single_monomial(capsys):
@@ -130,17 +155,84 @@ def test_proj_counts(capsys):
 
 
 def test_invariant_violation_exits_4(capsys, monkeypatch):
-    # a swap that changes nothing collapses the projective family
-    monkeypatch.setattr(superchar.caps, "_swap", lambda f, cf, swap: f)
-    f = superchar.weights.diagram_of_weight(
-        superchar.weights.HighestWeight(2, 2, (1, 1), (-1, -1)))
+    # caps (1, 2) and (0, 4) nest, so the crossing check passes, but cap end 2
+    # sits on the '>' of --ab 2,1,0:0,1: a swap would overwrite that core
+    monkeypatch.setattr(superchar.caps, "_caps_greedy", lambda f: {1: 2, 0: 4})
     with pytest.raises(superchar.InvariantError):
-        superchar.caps.projective_family(f)
-    code, _, err = run(capsys, "proj", "--m", "2", "--n", "2",
-                       "--lambda", "1,1", "--mu", "-1,-1")
+        superchar.caps.projective_family(_diagram("2,1,0:0,1"))
+    code, _, err = run(capsys, "proj", "--ab", "2,1,0:0,1")
     assert code == 4
     assert err.startswith("error: invariant violated: ")
     assert err.count("\n") == 1
+
+
+# r = 12 with three cores, negative and two-digit positions: the shape of the
+# slowest forest-wide proj operations
+R12_AB = "23,21,16,12,11,10,9,6,5,4,3,1,-1,-2,-3:-3,-2,-1,1,3,4,5,6,9,10,11,21"
+
+
+def _lines(text):
+    # byte-equal iff equal; a failure names the first differing line without
+    # pytest diffing two 4,096-member outputs character by character
+    return text.splitlines(keepends=True)
+
+
+@st.composite
+def _proj_diagrams(draw):
+    # positions in [-14, 14], so JSON keys such as "-10" and "-9" must order as strings
+    r = draw(st.integers(0, 6))
+    k = draw(st.integers(0 if r else 2, 3))
+    positions = draw(st.lists(st.integers(-14, 14), min_size=r + k,
+                              max_size=r + k, unique=True))
+    cores = draw(st.lists(st.sampled_from([LESS, GREATER]), min_size=k, max_size=k))
+    symbols = {p: CROSS for p in positions[:r]}
+    symbols.update(zip(positions[r:], cores))
+    f = WeightDiagram(symbols)
+    assume(f.m >= 1 and f.n >= 1)
+    return f
+
+
+@given(_proj_diagrams())
+def test_proj_bytes_match_the_diagram_route(f):
+    for fmt in ("text", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["proj", "--ab", _ab_arg(f), "--format", fmt]) == 0
+        assert _lines(out.getvalue()) == _lines(proj_output_by_diagrams(f, fmt)), fmt
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_proj_bytes_match_the_diagram_route_at_r12(capsys, fmt):
+    f = _diagram(R12_AB)
+    assert len(f.crosses) == 12
+    code, out, _ = run(capsys, "proj", "--ab", R12_AB, "--format", fmt)
+    assert code == 0
+    assert _lines(out) == _lines(proj_output_by_diagrams(f, fmt))
+
+
+def test_proj_renders_from_the_pairs(capsys, monkeypatch):
+    # proj builds no diagram per member and no generic JSON: with the family
+    # of diagrams and json.dumps unavailable it still prints all 4,096
+    def unavailable(*args, **kwargs):
+        raise AssertionError("proj went through a diagram per member or json.dumps")
+
+    monkeypatch.setattr(superchar.caps, "projective_family", unavailable)
+    monkeypatch.setattr(superchar.caps, "_swap", unavailable)
+    monkeypatch.setattr(superchar.cli.json, "dumps", unavailable)
+    code, out, _ = run(capsys, "proj", "--ab", R12_AB, "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 4096
+
+
+def test_consecutive_main_calls_share_no_state(capsys):
+    gl33 = ("--m", "3", "--n", "3", "--lambda", "3,2,2", "--mu", "-2,-2,-3")
+    run(capsys, "theta", *gl33, "--variant", "reduced")
+    _, out, _ = run(capsys, "theta", *gl33)
+    assert out == "1 - 1/2 t2^-1 - 1/2 t3^-3 + 1/3 t2^-1 t3^-3\n"
+    run(capsys, "proj", *gl33, "--format", "json")
+    _, out, _ = run(capsys, "proj", *gl33)
+    assert out.startswith("8 diagrams in the projective family:\n")
+    assert cli._parser() is cli._parser()
 
 
 def test_crossing_caps_exit_4(capsys, monkeypatch):
