@@ -107,14 +107,6 @@ def subgraphs(forest: Forest) -> list[Forest]:
     return out
 
 
-def component_min(delta: Forest, i: int) -> int:
-    """Smallest cross label in the component of vertex i."""
-    for comp in delta.components():
-        if i in comp:
-            return min(delta.labels[v] for v in comp)
-    raise ValueError(f"vertex {i} not in the graph")
-
-
 def _component_min_vertex(delta: Forest) -> dict[int, int]:
     """vertex -> the vertex carrying the minimal label of its component."""
     out: dict[int, int] = {}
@@ -366,16 +358,15 @@ class MixedForest:
         return _downset_count(tuple(range(len(self.labels))), self.edges)
 
 
-def theta_tilde(forest: Forest, sd: SegmentData,
-                use_tilde_exponents: bool = True) -> tuple[ThetaPoly, int, tuple[int, ...]]:
+def theta_tilde(forest: Forest, sd: SegmentData) -> tuple[ThetaPoly, int, tuple[int, ...]]:
     """Reduced theta polynomial plus the compensating shift data.
 
     Every non-special edge is kept; edges outside the core subforest are
     reversed before counting extensions and contribute the sign.  Exponents
-    are read off the segment maxima (set use_tilde_exponents=False to probe
-    the raw-position variant).  Returns (polynomial, nu, gamma_coefficients)
-    where nu is the total distance of crosses to their segment maxima and the
-    coefficient vector expands the shift over the atypical roots.
+    are read off the segment maxima.  Returns (polynomial, nu,
+    gamma_coefficients) where nu is the total distance of crosses to their
+    segment maxima and the coefficient vector expands the shift over the
+    atypical roots.
     """
     r = len(forest.labels)
     rfact = factorial(r)
@@ -387,11 +378,8 @@ def theta_tilde(forest: Forest, sd: SegmentData,
         star_edges = (delta.edges - flipped) | {(j, i) for i, j in flipped}
         ext = MixedForest(delta.labels, frozenset(star_edges)).extension_count()
         mins = _component_min_vertex(delta)
-        if use_tilde_exponents:
-            exps = tuple(tc[delta.labels[mins[i]]] - tc[delta.labels[i]]
-                         for i in range(r))
-        else:
-            exps = tuple(delta.labels[mins[i]] - delta.labels[i] for i in range(r))
+        exps = tuple(tc[delta.labels[mins[i]]] - tc[delta.labels[i]]
+                     for i in range(r))
         coeff = Fraction((-1) ** len(flipped) * ext, rfact)
         terms[exps] = terms.get(exps, Fraction(0)) + coeff
     shift = tuple(tc[c] - c for c in forest.labels)

@@ -159,15 +159,15 @@ def segment_data(f: WeightDiagram) -> SegmentData:
     return SegmentData(tuple(segments), tilde)
 
 
-def render_caps(f: WeightDiagram, pad: int = 1) -> str:
+def render_caps(f: WeightDiagram) -> str:
     """ASCII picture: one line of symbols, cap arcs stacked above by depth."""
     cf = cap_diagram(f)
     lo_candidates = list(f.positions())
     hi_candidates = list(f.positions()) + [cf.cap_end[c] for c in cf.crosses]
     if not hi_candidates:
         return "(empty diagram)"
-    lo = min(lo_candidates or hi_candidates) - pad
-    hi = max(hi_candidates) + pad
+    lo = min(lo_candidates or hi_candidates) - 1
+    hi = max(hi_candidates) + 1
     width = 3
 
     def col(pos: int) -> int:

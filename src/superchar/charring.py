@@ -24,13 +24,13 @@ from operator import add, sub
 from .capgraph import gamma, theta, theta_tilde
 from .caps import cap_diagram, segment_data
 from .weights import (
-    CROSS,
-    GREATER,
-    LESS,
     HighestWeight,
     WeightDiagram,
     ab_from_diagram,
+    ab_sets,
     diagram_of_weight,
+    position_exponents,
+    rho,
     weight_from_diagram,
 )
 
@@ -218,13 +218,9 @@ def odd_positive_roots(m: int, n: int) -> list[Vec]:
     return roots
 
 
-def rho_exponent(m: int, n: int) -> Vec:
-    return tuple(1 - i for i in range(1, m + 1)) + tuple(m - j for j in range(1, n + 1))
-
-
 def chi_plus_rho_exponent(chi: HighestWeight) -> Vec:
-    rho = rho_exponent(chi.m, chi.n)
-    return tuple(c + r for c, r in zip(chi.lam + chi.mu, rho))
+    ab = ab_sets(chi)
+    return ab.A + tuple(-b for b in ab.B)
 
 
 @lru_cache(maxsize=None)
@@ -245,7 +241,8 @@ def dhat_denominator(m: int, n: int) -> tuple[CharPoly, CharPoly]:
     Kac character equals denominator times the plain alternant of the Kac
     module's shifted highest weight, with integer exponents throughout.
     """
-    num = CharPoly.monomial(m, n, rho_exponent(m, n))
+    r = rho(m, n)
+    num = CharPoly.monomial(m, n, r.eps_part + r.delta_part)
     for alpha in even_positive_roots(m, n):
         neg = tuple(-a for a in alpha)
         num = num * CharPoly(m, n, {(0,) * (m + n): 1, neg: -1})
@@ -470,13 +467,13 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
         terms = _fold(m, terms.items(), odd=j == m + n - 1)
 
     # group by the even block so each even Schur block is expanded once
-    rho = rho_exponent(m, n)
+    r = rho(m, n)
     eps_box, delta_box = (window.eps, window.delta) if window else (None, None)
     odd_parts: dict[Vec, dict[Vec, int]] = {}
     for w, c in terms.items():
-        lam = tuple(map(sub, w[:m], rho[:m]))
+        lam = tuple(map(sub, w[:m], r.eps_part))
         inner = odd_parts.setdefault(lam, {})
-        for vd, cd in _schur_block(tuple(map(sub, w[m:], rho[m:])), delta_box):
+        for vd, cd in _schur_block(tuple(map(sub, w[m:], r.delta_part)), delta_box):
             _acc(inner, vd, c * cd)
     out: dict[Vec, object] = {}
     for lam, inner in odd_parts.items():
@@ -492,14 +489,6 @@ def gt_multiplicity(lam: tuple[int, ...], w: Vec) -> int:
     kernel (_schur_block) on the one-point box at w."""
     block = _schur_block(lam, tuple((x, x) for x in w))
     return block[0][1] if block else 0
-
-
-def schur_window(lam: tuple[int, ...],
-                 box: tuple[tuple[int, int], ...]) -> dict[Vec, int]:
-    """Nonzero weight multiplicities of the gl(k) irreducible inside a box,
-    built by the branching kernel (_schur_block) without visiting any weight
-    outside the box."""
-    return dict(_schur_block(lam, box))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +515,7 @@ def kac_sum(m: int, n: int, coeffs: dict[HighestWeight, int],
     lo - rem_s <= v_s <= hi on every odd slot; a term outside this box
     contributes nothing inside the window.  At the start rem_s is n on the
     even slots and m on the odd ones, so the even blocks are built by the
-    branching kernel (schur_window) inside the window widened by n upwards on
+    branching kernel (_schur_block) inside the window widened by n upwards on
     the even slots and by m downwards on the odd ones; after the last
     binomial every rem_s is 0, the box is the window itself and no final
     restriction is needed.
@@ -543,11 +532,11 @@ def kac_sum(m: int, n: int, coeffs: dict[HighestWeight, int],
     delta_box = tuple((b - m, t) for b, t in window.delta)
     terms: dict[Vec, int] = {}
     for chi, c in coeffs.items():
-        s_eps = schur_window(chi.lam, eps_box)
+        s_eps = _schur_block(chi.lam, eps_box)
         if not s_eps:
             continue
-        for vd, cd in schur_window(chi.mu, delta_box).items():
-            for ve, ce in s_eps.items():
+        for vd, cd in _schur_block(chi.mu, delta_box):
+            for ve, ce in s_eps:
                 _acc(terms, ve + vd, c * ce * cd)
 
     rem = [n] * m + [m] * n
@@ -584,90 +573,6 @@ def kac_char_window(f: WeightDiagram, window: Window) -> CharPoly:
     binomial (kac_sum)."""
     chi = weight_from_diagram(f)
     return kac_sum(chi.m, chi.n, {chi: 1}, window)
-
-
-# ---------------------------------------------------------------------------
-# evaluation data
-
-@dataclass(frozen=True)
-class EvEntry:
-    """Image of one diagram position under the evaluation substitution."""
-
-    position: int
-    symbol: str
-    eps_index: int | None
-    delta_index: int | None
-    exponent: Vec
-    sign: int
-
-
-def _position_entries(f: WeightDiagram, signed: bool) -> list[EvEntry]:
-    ab = ab_from_diagram(f)
-    m, n = ab.m, ab.n
-    a_rank = {a: i + 1 for i, a in enumerate(ab.A)}
-    b_rank = {b: j + 1 for j, b in enumerate(ab.B)}
-    entries = []
-    for pos in f.positions():
-        sym = f.symbol(pos)
-        vec = [0] * (m + n)
-        if sym == GREATER:
-            i = a_rank[pos]
-            vec[i - 1] = 1
-            entries.append(EvEntry(pos, sym, i, None, tuple(vec), 1))
-        elif sym == LESS:
-            j = b_rank[pos]
-            vec[m + j - 1] = -1
-            entries.append(EvEntry(pos, sym, None, j, tuple(vec), 1))
-        else:
-            i, j = a_rank[pos], b_rank[pos]
-            vec[i - 1] = 1
-            vec[m + j - 1] = -1
-            entries.append(EvEntry(pos, sym, i, j, tuple(vec),
-                                   -1 if signed else 1))
-    return entries
-
-
-def ev_map(f: WeightDiagram) -> list[EvEntry]:
-    """Evaluation substitution per non-circle position: '>' goes to e^eps_i,
-    '<' to e^{-delta_j}, a cross to minus e^{eps_i - delta_j}."""
-    return _position_entries(f, signed=True)
-
-
-def pi_map(f: WeightDiagram) -> list[EvEntry]:
-    """Unsigned companion of the evaluation substitution."""
-    return _position_entries(f, signed=False)
-
-
-@dataclass(frozen=True)
-class RootData:
-    """The ordered atypical set of a dominant weight: its odd roots, their
-    (eps, delta) index pairs, and kappa doubled."""
-
-    m: int
-    n: int
-    s_chi: tuple[Vec, ...]
-    s_chi_pairs: tuple[tuple[int, int], ...]
-    kappa_doubled: Vec
-
-    @property
-    def atypicality(self) -> int:
-        return len(self.s_chi)
-
-
-def root_data(chi: HighestWeight) -> RootData:
-    m, n = chi.m, chi.n
-    f = diagram_of_weight(chi)
-    pairs = []
-    vecs = []
-    for entry in ev_map(f):
-        if entry.symbol == CROSS:
-            pairs.append((entry.eps_index, entry.delta_index))
-            vec = [0] * (m + n)
-            vec[entry.eps_index - 1] = 1
-            vec[m + entry.delta_index - 1] = -1
-            vecs.append(tuple(vec))
-    kappa2 = tuple([n - m + 1] * m + [-(n - m + 1)] * n)
-    return RootData(m, n, tuple(vecs), tuple(pairs), kappa2)
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +632,10 @@ def _numerator(chi: HighestWeight, variant: str
     atypical roots whose series follow, and the odd-degree slice."""
     m, n = chi.m, chi.n
     f = diagram_of_weight(chi)
-    rd = root_data(chi)
+    vecs = position_exponents(f)
+    alphas = tuple(vecs[c] for c in f.crosses)
     forest = gamma(cap_diagram(f))
-    r = rd.atypicality
+    r = len(alphas)
 
     if variant == "classic":
         th = theta(forest)
@@ -749,7 +655,7 @@ def _numerator(chi: HighestWeight, variant: str
 
     top = chi_plus_rho_exponent(chi)
     base_delta = sum(top[m:])
-    top = tuple(t + sum(s * a[k] for s, a in zip(shift_coeffs, rd.s_chi))
+    top = tuple(t + sum(s * a[k] for s, a in zip(shift_coeffs, alphas))
                 for k, t in enumerate(top))
 
     num: dict[Vec, object] = {}
@@ -757,10 +663,10 @@ def _numerator(chi: HighestWeight, variant: str
         vec = list(top)
         for i, e in enumerate(exps):
             for k in range(m + n):
-                vec[k] += e * rd.s_chi[i][k]
+                vec[k] += e * alphas[i][k]
         sign = -1 if sum(exps) % 2 else 1
         _acc(num, tuple(vec), coeff * sign * global_sign)
-    return num, rd.s_chi, base_delta, base_delta + m * n
+    return num, alphas, base_delta, base_delta + m * n
 
 
 def _engine(chi: HighestWeight, variant: str, depth: int) -> CharPoly:

@@ -24,10 +24,9 @@ from .charring import (
     _acc,
     alternate_tail,
     kac_sum,
-    pi_map,
 )
 from .latticegen import OrderPolyhedron, enumerate_lattice
-from .weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram, weight_from_diagram
+from .weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram, position_exponents, weight_from_diagram
 
 
 class OracleInstability(RuntimeError):
@@ -190,25 +189,25 @@ def _oracle_sum(f: WeightDiagram, window: Window, cutoff: int) -> CharPoly:
     return kac_sum(f.m, f.n, coeffs, window)
 
 
-def oracle_char_lattice(f: WeightDiagram, window: Window,
-                        cutoff: int | None = None) -> CharPoly:
+def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
     """Second oracle route: sum plain alternants over the lattice points of
     the order polyhedron (signs from the position sums), then divide by the
     normalized denominator.  The shared tail (alternate_tail) gets the window
     and expands each Schur block inside it only, so no monomial outside the
     window is built.  Sign conventions are coded independently of
-    epsilon_sign.  The default cutoff min(crosses) - m*n is exact: a cross
-    value x never exceeds its cross c and a point's odd degree is
-    base_delta + sum(c - x), so a value below the cutoff puts the point above
-    slice_hi = base_delta + m*n, where the slice check drops it."""
+    epsilon_sign.  A point x weights each position's exponent vector
+    (position_exponents) by its coordinate.  The cutoff min(crosses) - m*n is
+    exact: a cross value x never exceeds its cross c and a point's odd degree
+    is base_delta + sum(c - x), so a value below the cutoff puts the point
+    above slice_hi = base_delta + m*n, where the slice check drops it."""
     m, n = f.m, f.n
     crosses = f.crosses
-    base_delta = sum(-b for b in _b_list(f))
+    exps = position_exponents(f)
+    vecs = tuple(exps.values())
+    base_delta = sum(p * sum(v[m:]) for p, v in exps.items())
     slice_lo, slice_hi = base_delta, base_delta + m * n
-    if cutoff is None:
-        cutoff = (min(crosses) if crosses else 0) - m * n
+    cutoff = (min(crosses) if crosses else 0) - m * n
 
-    entries = pi_map(f)
     positions = f.positions()
     cross_slots = [k for k, p in enumerate(positions) if f.symbol(p) == CROSS]
     poly = OrderPolyhedron(
@@ -224,17 +223,13 @@ def oracle_char_lattice(f: WeightDiagram, window: Window,
         cross_sum = sum(x[k] for k in cross_slots)
         sgn = sign_f * (-1 if cross_sum % 2 else 1)
         vec = [0] * (m + n)
-        for k, entry in enumerate(entries):
+        for k, v in enumerate(vecs):
             for t in range(m + n):
-                vec[t] += x[k] * entry.exponent[t]
+                vec[t] += x[k] * v[t]
         if sum(vec[m:]) > slice_hi:
             continue
         _acc(total, tuple(vec), sgn)
     return alternate_tail(m, n, total, slice_lo, slice_hi, window)
-
-
-def _b_list(f: WeightDiagram) -> list[int]:
-    return sorted(set(f.crosses) | set(f.less_positions))
 
 
 def _chain_edges(f: WeightDiagram, positions: tuple[int, ...]) -> frozenset:

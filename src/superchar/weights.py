@@ -186,6 +186,21 @@ def ab_from_diagram(f: WeightDiagram) -> ABPair:
     return ABPair(tuple(a), tuple(b))
 
 
+def position_exponents(f: WeightDiagram) -> dict[int, tuple[int, ...]]:
+    """Exponent vector in Z^(m+n) of each non-circle position, ascending, read
+    off ab_from_diagram(f): the i-th entry of A gives eps_i, the j-th entry of
+    B gives -delta_j, and a cross, in both, gives eps_i - delta_j (an atypical
+    root).  Summing p times the vector of p gives chi + rho."""
+    ab = ab_from_diagram(f)
+    m = ab.m
+    vecs = {p: [0] * (m + ab.n) for p in f.positions()}
+    for i, a in enumerate(ab.A):
+        vecs[a][i] = 1
+    for j, b in enumerate(ab.B):
+        vecs[b][m + j] = -1
+    return {p: tuple(v) for p, v in vecs.items()}
+
+
 def diagram_of_weight(chi: HighestWeight) -> WeightDiagram:
     return build_diagram(ab_sets(chi))
 
@@ -211,12 +226,3 @@ def core_strip(f: WeightDiagram) -> tuple[WeightDiagram, dict[int, int]]:
     stripped = WeightDiagram({reindex[a]: CROSS for a in f.crosses})
     return stripped, reindex
 
-
-def n_filtration(f: WeightDiagram) -> int:
-    """Sum of the positions carrying a cross or '<'."""
-    return sum(p for p, s in f.symbols.items() if s in (CROSS, LESS))
-
-
-def in_family(f: WeightDiagram, m: int, n: int) -> bool:
-    """Membership in the diagram family with m even and n odd labels."""
-    return f.m == m and f.n == n

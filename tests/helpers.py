@@ -27,9 +27,8 @@ from superchar.charring import (
     divide_exact,
     even_positive_roots,
     q_odd_product,
-    rho_exponent,
 )
-from superchar.weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram, ab_from_diagram
+from superchar.weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram, ab_from_diagram, rho
 
 
 def dominant_weights(m, n, lo, hi):
@@ -222,7 +221,8 @@ def tail_by_division(m, n, num, slice_lo, slice_hi):
         slice_lo, slice_hi)
     for alpha in even_positive_roots(m, n):
         t = divide_exact(t, alpha)
-    return t.shift(tuple(-x for x in rho_exponent(m, n)))
+    r = rho(m, n)
+    return t.shift(tuple(-x for x in r.eps_part + r.delta_part))
 
 
 def orthogonality_dense(window, m, n, r_max):

@@ -24,7 +24,7 @@ from superchar.capgraph import (
     subgraphs,
     theta,
     theta_tilde,
-    component_min,
+    _component_min_vertex,
 )
 from superchar.caps import cap_diagram, segment_data
 from superchar.weights import CROSS, GREATER, LESS, WeightDiagram
@@ -73,6 +73,9 @@ def test_subgraph_counts():
 
 
 def test_component_min():
+    def component_min(delta, v):
+        return delta.labels[_component_min_vertex(delta)[v]]
+
     g, _ = forest_of(0, 1, 3)
     for v in range(3):
         assert component_min(g, v) == 0
@@ -280,13 +283,6 @@ def test_theta_tilde_single_cross():
     tt, nu, shift = theta_tilde(g, sd)
     assert tt.terms == {(0,): 1}
     assert nu == 0 and shift == (0,)
-
-
-def test_theta_tilde_raw_exponent_flag_differs():
-    g, sd = forest_of(0, 1, 3)
-    tilde, _, _ = theta_tilde(g, sd)
-    raw, _, _ = theta_tilde(g, sd, use_tilde_exponents=False)
-    assert tilde != raw
 
 
 def test_reduced_formula_support_detection():

@@ -19,7 +19,6 @@ from superchar.charring import (
     dimension_eval,
     divide_exact,
     engine_summand_count,
-    ev_map,
     even_positive_roots,
     gt_multiplicity,
     highest_term_ok,
@@ -29,16 +28,12 @@ from superchar.charring import (
     kac_char_window,
     kac_sum,
     odd_positive_roots,
-    pi_map,
     q_odd_product,
-    root_data,
-    rho_exponent,
-    schur_window,
     supersymmetry_check,
     weyl0_character,
     _schur_block,
 )
-from superchar.weights import CROSS, HighestWeight, WeightDiagram, diagram_of_weight
+from superchar.weights import HighestWeight, diagram_of_weight
 
 from helpers import (
     dominant_weights,
@@ -149,7 +144,7 @@ def test_schur_window_restricts():
     box = ((0, 2), (0, 2), (0, 2))
     expected = {w: c for w, c in ssyt_weight_multiplicities(lam, 3).items()
                 if all(lo <= x <= hi for x, (lo, hi) in zip(w, box))}
-    assert schur_window(lam, box) == expected
+    assert dict(_schur_block(lam, box)) == expected
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +186,7 @@ def _in_weight_polytope(lam, w):
 def test_schur_window_matches_tableaux_and_division(case):
     lam, box = case
     expected = {w: c for w, c in _tableaux(lam).items() if _in_box(w, box)}
-    assert schur_window(lam, box) == expected
+    assert dict(_schur_block(lam, box)) == expected
     by_division = schur_block_by_division(lam)
     assert {w: c for w, c in by_division.items() if _in_box(w, box)} == expected
 
@@ -265,39 +260,6 @@ def test_kac_sum_matches_product_route(m, n):
         for chi, c in coeffs.items():
             expected = expected + (weyl0_character(chi) * q_odd_product(m, n)).scale(c)
         assert kac_sum(m, n, coeffs) == expected, coeffs
-
-
-def test_ev_map_gl33():
-    chi = HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3))
-    entries = ev_map(diagram_of_weight(chi))
-    crosses = [e for e in entries if e.symbol == CROSS]
-    # increasing cross position pairs with decreasing shifted labels
-    assert [(e.eps_index, e.delta_index) for e in crosses] == [(3, 1), (2, 2), (1, 3)]
-    assert crosses[0].exponent == (0, 0, 1, -1, 0, 0)
-    assert all(e.sign == -1 for e in crosses)
-
-
-def test_ev_map_core_rules():
-    f = WeightDiagram({0: ">", 1: "<"})
-    entries = ev_map(f)
-    assert entries[0].exponent == (1, 0) and entries[0].sign == 1
-    assert entries[1].exponent == (0, -1) and entries[1].sign == 1
-
-
-def test_pi_map_unsigned():
-    chi = HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3))
-    f = diagram_of_weight(chi)
-    assert all(e.sign == 1 for e in pi_map(f))
-    assert [e.exponent for e in pi_map(f)] == [e.exponent for e in ev_map(f)]
-
-
-def test_root_data_gl33():
-    chi = HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3))
-    rd = root_data(chi)
-    assert rd.s_chi_pairs == ((3, 1), (2, 2), (1, 3))
-    assert rd.s_chi[0] == (0, 0, 1, -1, 0, 0)
-    assert rd.kappa_doubled == (1, 1, 1, -1, -1, -1)
-    assert rd.atypicality == 3
 
 
 def test_divide_exact_roundtrip():

@@ -35,6 +35,7 @@ from superchar.weights import (
     WeightDiagram,
     core_strip,
     diagram_of_weight,
+    position_exponents,
     weight_from_diagram,
 )
 
@@ -303,9 +304,7 @@ def test_signed_alternant_identity_per_relocation():
         if not f.crosses:
             continue
         m, n = f.m, f.n
-        from superchar.charring import pi_map
-
-        entries = pi_map(f)
+        exps = position_exponents(f)
         positions = f.positions()
         cutoff = min(f.crosses) - 2
         for wm in enumerate_weight_maps(f, cutoff):
@@ -315,9 +314,9 @@ def test_signed_alternant_identity_per_relocation():
             x = {p: p for p in positions}
             x.update(wm.phi)
             vec = [0] * (m + n)
-            for k, p in enumerate(positions):
+            for p in positions:
                 for t in range(m + n):
-                    vec[t] += x[p] * entries[k].exponent[t]
+                    vec[t] += x[p] * exps[p][t]
             tau = sum(
                 sum(1 for c in f.core_positions if wm.phi[a] < c < a)
                 for a in f.crosses)

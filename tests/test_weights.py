@@ -1,6 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from superchar.charring import chi_plus_rho_exponent
 
 from superchar.weights import (
     CROSS,
@@ -14,8 +18,7 @@ from superchar.weights import (
     build_diagram,
     core_strip,
     diagram_of_weight,
-    in_family,
-    n_filtration,
+    position_exponents,
     rho,
     weight_from_ab,
     weight_from_diagram,
@@ -85,7 +88,7 @@ def test_family_counts_on_grid():
     for (m, n) in [(1, 1), (2, 1), (2, 2)]:
         for chi in dominant_weights(m, n, -2, 2):
             f = diagram_of_weight(chi)
-            assert in_family(f, m, n)
+            assert (f.m, f.n) == (m, n)
             r = len(f.crosses)
             assert r + len(f.greater_positions) == m
             assert r + len(f.less_positions) == n
@@ -137,7 +140,39 @@ def test_core_strip_preserves_cross_order():
         assert stripped.core_positions == ()
 
 
-def test_n_filtration():
-    assert n_filtration(WeightDiagram({0: CROSS, 1: CROSS, 3: CROSS})) == 4
-    assert n_filtration(WeightDiagram({7: LESS, 2: GREATER})) == 7
-    assert n_filtration(WeightDiagram({5: GREATER})) == 0
+def test_position_exponents_gl33():
+    f = diagram_of_weight(HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3)))
+    exps = position_exponents(f)
+    # increasing cross position pairs with decreasing shifted labels: the
+    # cross eps_i - delta_j is read as the 1-based pair (i, j)
+    roots = [exps[c] for c in f.crosses]
+    pairs = [(v.index(1) + 1, v.index(-1) - f.m + 1) for v in roots]
+    assert pairs == [(3, 1), (2, 2), (1, 3)]
+    assert exps[f.crosses[0]] == (0, 0, 1, -1, 0, 0)
+    assert list(exps) == list(f.positions())
+
+
+def test_position_exponents_core_rules():
+    exps = position_exponents(WeightDiagram({0: GREATER, 1: LESS}))
+    assert exps == {0: (1, 0), 1: (0, -1)}
+
+
+@st.composite
+def _diagrams(draw):
+    """Any diagram with m, n >= 1: crosses and core symbols, negative
+    positions included."""
+    symbols = draw(st.dictionaries(st.integers(-6, 6),
+                                   st.sampled_from([CROSS, GREATER, LESS]),
+                                   min_size=1, max_size=8))
+    f = WeightDiagram(symbols)
+    if f.m < 1 or f.n < 1:
+        symbols[7] = CROSS
+        f = WeightDiagram(symbols)
+    return f
+
+
+@given(_diagrams())
+def test_position_exponents_weighted_by_positions_give_chi_plus_rho(f):
+    exps = position_exponents(f)
+    total = [sum(p * v[k] for p, v in exps.items()) for k in range(f.m + f.n)]
+    assert tuple(total) == chi_plus_rho_exponent(weight_from_diagram(f))
