@@ -31,9 +31,10 @@ from superchar.charring import (
     q_odd_product,
     supersymmetry_check,
     weyl0_character,
+    _numerator,
     _schur_block,
 )
-from superchar.weights import HighestWeight, diagram_of_weight
+from superchar.weights import HighestWeight, diagram_of_weight, position_exponents
 
 from helpers import (
     dominant_weights,
@@ -260,6 +261,29 @@ def test_kac_sum_matches_product_route(m, n):
         for chi, c in coeffs.items():
             expected = expected + (weyl0_character(chi) * q_odd_product(m, n)).scale(c)
         assert kac_sum(m, n, coeffs) == expected, coeffs
+
+
+def test_ev_map_gl33():
+    """The evaluation map position -> exponent vector, read off (A, B)."""
+    f = diagram_of_weight(HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3)))
+    exps = position_exponents(f)
+    # increasing cross position pairs with decreasing shifted labels: the
+    # cross eps_i - delta_j is read as the 1-based pair (i, j)
+    roots = [exps[c] for c in f.crosses]
+    pairs = [(v.index(1) + 1, v.index(-1) - f.m + 1) for v in roots]
+    assert pairs == [(3, 1), (2, 2), (1, 3)]
+    assert exps[f.crosses[0]] == (0, 0, 1, -1, 0, 0)
+    assert list(exps) == list(f.positions())
+
+
+def test_root_data_gl33():
+    """The atypical roots the formula engine runs its series over."""
+    chi = HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3))
+    _, alphas, _, _ = _numerator(chi, "classic")
+    pairs = [(v.index(1) + 1, v.index(-1) - chi.m + 1) for v in alphas]
+    assert pairs == [(3, 1), (2, 2), (1, 3)]
+    assert alphas[0] == (0, 0, 1, -1, 0, 0)
+    assert len(alphas) == 3
 
 
 def test_divide_exact_roundtrip():

@@ -140,18 +140,6 @@ def test_core_strip_preserves_cross_order():
         assert stripped.core_positions == ()
 
 
-def test_position_exponents_gl33():
-    f = diagram_of_weight(HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3)))
-    exps = position_exponents(f)
-    # increasing cross position pairs with decreasing shifted labels: the
-    # cross eps_i - delta_j is read as the 1-based pair (i, j)
-    roots = [exps[c] for c in f.crosses]
-    pairs = [(v.index(1) + 1, v.index(-1) - f.m + 1) for v in roots]
-    assert pairs == [(3, 1), (2, 2), (1, 3)]
-    assert exps[f.crosses[0]] == (0, 0, 1, -1, 0, 0)
-    assert list(exps) == list(f.positions())
-
-
 def test_position_exponents_core_rules():
     exps = position_exponents(WeightDiagram({0: GREATER, 1: LESS}))
     assert exps == {0: (1, 0), 1: (0, -1)}
