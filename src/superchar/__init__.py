@@ -20,7 +20,7 @@ from .charring import (
     kac_char,
     supersymmetry_check,
 )
-from .oracle import OracleInstability, oracle_char, orthogonality_check
+from .oracle import oracle_char
 from .weights import ABPair, HighestWeight, InvariantError, WeightDiagram, ab_sets, build_diagram, diagram_of_weight, rho
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "Forest",
     "HighestWeight",
     "InvariantError",
-    "OracleInstability",
     "SegmentData",
     "ThetaPoly",
     "TruncationInstability",
@@ -50,7 +49,6 @@ __all__ = [
     "kac_char",
     "linear_extensions",
     "oracle_char",
-    "orthogonality_check",
     "precedes",
     "projective_family",
     "rho",

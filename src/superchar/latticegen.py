@@ -1,41 +1,35 @@
-"""Order polyhedra attached to nesting forests: vertices, tangent cones, and
-brute-force lattice enumeration used as a verification oracle.
+"""The order polyhedron of a nesting forest, its lattice points, and the
+strict-chain partition check.
 
 A forest with labels c_1 < ... < c_r cuts out the region x_i <= c_i with
-x_i <= x_j along every edge.  Its vertices correspond one-to-one with the
-spanning subgraphs; each tangent cone carries a scalar (extension count over
-r!) and a monomial, which is all the character formula needs.
+x_i <= x_j along every edge.  Its vertices are the spanning subgraphs, and
+capgraph.theta sums their tangent cones; enumerate_lattice lists its lattice
+points above a cutoff, which the lattice oracle sums instead.  By Brion's
+theorem the two sums agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
+from dataclasses import dataclass
 
-from .capgraph import Edge, Forest, _component_min_vertex, linear_extensions, subgraphs
-from .weights import InvariantError
+from .capgraph import Edge, Forest
 
 
 @dataclass(frozen=True)
 class OrderPolyhedron:
-    """Bounded-above order region, with optional pinned coordinates.
+    """Order region bounded above in every coordinate.
 
-    bounds[i] is the upper bound of coordinate i; pinned maps a coordinate to
-    the single value it may take (used for the full-dimensional view where
-    core symbols are frozen at their positions); chain_edges (i, j) impose
+    bounds[i] is the upper bound of coordinate i; chain_edges (i, j) impose
     x_i <= x_j.
     """
 
     dim: int
     bounds: dict[int, int]
     chain_edges: frozenset[Edge]
-    pinned: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for i in range(self.dim):
-            if (i in self.bounds) == (i in self.pinned):
-                raise ValueError(f"coordinate {i} must be bounded or pinned, not both")
+        if set(self.bounds) != set(range(self.dim)):
+            raise ValueError(f"every coordinate of 0..{self.dim - 1} needs a bound")
         for i, j in self.chain_edges:
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError(f"chain edge ({i},{j}) out of range")
@@ -46,74 +40,21 @@ class OrderPolyhedron:
         for i, b in self.bounds.items():
             if point[i] > b:
                 return False
-        for i, v in self.pinned.items():
-            if point[i] != v:
-                return False
         return all(point[i] <= point[j] for i, j in self.chain_edges)
 
 
 def polyhedron_of_forest(forest: Forest) -> OrderPolyhedron:
-    """Cross-space region of a nesting forest."""
+    """One coordinate per cross, bounded by that cross, with
+    x_parent <= x_child along the forest edges."""
     return OrderPolyhedron(
         dim=len(forest.labels),
         bounds={i: forest.labels[i] for i in range(len(forest.labels))},
         chain_edges=forest.edges)
 
 
-@dataclass(frozen=True)
-class ConeDescriptor:
-    """Tangent-cone generating data at one vertex: a rational scalar, the
-    numerator exponents (component minimum per coordinate), and one
-    (1 - t_i^-1) denominator factor per coordinate."""
-
-    vertex: tuple[int, ...]
-    scalar: Fraction
-    numerator_exp: tuple[int, ...]
-    denominator_vars: tuple[int, ...]
-
-
-def vertices(forest: Forest) -> list[tuple[Forest, tuple[int, ...]]]:
-    """One vertex per spanning subgraph: coordinate i sits at the minimal
-    label of its subgraph component.  The points are pairwise distinct."""
-    out: list[tuple[Forest, tuple[int, ...]]] = []
-    seen: set[tuple[int, ...]] = set()
-    for delta in subgraphs(forest):
-        mins = _component_min_vertex(delta)
-        point = tuple(delta.labels[mins[i]] for i in range(len(delta.labels)))
-        if point in seen:
-            raise InvariantError(f"vertex {point} duplicated")
-        seen.add(point)
-        out.append((delta, point))
-    return out
-
-
-def tangent_cone(delta: Forest) -> tuple[list[tuple[int, int]], list[Edge]]:
-    """Active inequalities at the vertex of delta: one upper bound per
-    component minimum, one chain inequality per edge.
-
-    Returns (bounds as (coordinate, limit) pairs, chain edges).
-    """
-    mins = _component_min_vertex(delta)
-    bound_list = sorted({(mins[i], delta.labels[mins[i]]) for i in delta.vertices})
-    return bound_list, sorted(delta.edges)
-
-
-def cone_genfun(delta: Forest) -> ConeDescriptor:
-    """Scalar |extensions|/r!, numerator exponents, denominators (1 - t_i^-1)."""
-    r = len(delta.labels)
-    mins = _component_min_vertex(delta)
-    point = tuple(delta.labels[mins[i]] for i in range(r))
-    scalar = Fraction(linear_extensions(delta), factorial(r))
-    return ConeDescriptor(vertex=point, scalar=scalar, numerator_exp=point,
-                          denominator_vars=tuple(range(r)))
-
-
 def enumerate_lattice(poly: OrderPolyhedron, cutoff: int) -> list[tuple[int, ...]]:
-    """All integer points with every free coordinate >= cutoff, lexicographic.
-
-    Pinned coordinates keep their fixed value regardless of the cutoff; the
-    cutoff exists to make the downward-unbounded region finite.
-    """
+    """All integer points with every coordinate >= cutoff, lexicographic;
+    the cutoff makes the downward-unbounded region finite."""
     for i, b in poly.bounds.items():
         if cutoff > b:
             return []
@@ -131,11 +72,7 @@ def enumerate_lattice(poly: OrderPolyhedron, cutoff: int) -> list[tuple[int, ...
         if i == poly.dim:
             out.append(tuple(point))
             return
-        if i in poly.pinned:
-            lo = hi = poly.pinned[i]
-        else:
-            hi = poly.bounds[i]
-            lo = cutoff
+        lo, hi = cutoff, poly.bounds[i]
         # chain constraints against already-placed coordinates
         for j in pred[i]:
             if j < i:
@@ -223,10 +160,6 @@ def chain_decomposition_report(forest: Forest, bound: int,
     if sum(region_counts.values()) != len(points):
         ok = False
     return ChainDecompositionReport(ok, len(points), diagonal, region_counts)
-
-
-def chain_decomposition_check(forest: Forest, bound: int, window: int = -8) -> bool:
-    return chain_decomposition_report(forest, bound, window).ok
 
 
 def _in_strict_region(point: tuple[int, ...], sigma: tuple[int, ...]) -> bool:

@@ -7,9 +7,14 @@ Inside a window the sum is finite: a proved per-value cutoff (the block-sum
 bound of `oracle_char`) drops exactly the relocations whose Kac characters
 cannot reach the window, so one enumeration gives the exact windowed result.
 The Kac characters share their odd factor, so the signed even-block
-characters are summed first and the odd factor is applied once.
-A second route sums plain alternants over the lattice points of the order
-polyhedron and must agree; the two routes carry independently coded sign
+characters are summed first and the odd factor is applied once.  This route
+takes its nesting order from the caps directly, so it checks the caps and
+the forest end to end.
+
+A second route sums plain alternants over the lattice points of the nesting
+forest's order polyhedron, the polyhedron whose vertex cones capgraph.theta
+sums; by Brion's theorem the two must agree, so this route checks the stage
+from the forest onward.  The two routes carry independently coded sign
 conventions.
 """
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .capgraph import gamma
 from .caps import cap_diagram, projective_family
 from .charring import (
     CharPoly,
@@ -25,21 +31,8 @@ from .charring import (
     alternate_tail,
     kac_sum,
 )
-from .latticegen import OrderPolyhedron, enumerate_lattice
+from .latticegen import enumerate_lattice, polyhedron_of_forest
 from .weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram, position_exponents, weight_from_diagram
-
-
-class OracleInstability(RuntimeError):
-    """An explicit enumeration cutoff lies above the proved bound of
-    oracle_char, so a relocation that reaches the window may be left out.
-
-    suggested_cutoff is the bound itself, the cutoff oracle_char uses by
-    default.
-    """
-
-    def __init__(self, message: str, suggested_cutoff: int):
-        super().__init__(message)
-        self.suggested_cutoff = suggested_cutoff
 
 
 @dataclass(frozen=True)
@@ -54,9 +47,6 @@ class WeightMap:
         for a, b in self.phi.items():
             symbols[b] = CROSS
         return WeightDiagram(symbols)
-
-    def sorted_items(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.phi.items()))
 
 
 def enumerate_weight_maps(f: WeightDiagram, cutoff: int) -> list[WeightMap]:
@@ -143,44 +133,27 @@ def _window_reachable(chi: HighestWeight, window: Window) -> bool:
     return True
 
 
-def oracle_char(f: WeightDiagram, window: Window,
-                cutoff: int | None = None) -> CharPoly:
+def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
     """Signed sum of Kac characters over all relocations with values at or
-    above the cutoff, restricted to the window.
+    above the cutoff B = _suggested_cutoff(f, window), restricted to the
+    window.  Relocation signs are accumulated per image weight (equal images
+    merge, cancelling ones drop), and the signed Kac characters are summed
+    in one kac_sum call, which applies the odd factor once to the summed
+    even-block characters.
 
-    The default cutoff is the bound B = _suggested_cutoff(f, window), and it
-    is exact.  B is min(value_sum_lo - (sum(crosses) - min(crosses)) - 1,
-    min(crosses)), where value_sum_lo is the lowest value sum whose image can
-    reach the window's lowest even-block sum.  Take a relocation with some
-    value v < B.  Every other value is at most its own cross, so the value
-    sum is at most v + sum(crosses) - min(crosses) < value_sum_lo.  The image
-    diagram g then has sum(lam(g)) = sum(values) + sum(core '>') + m(m-1)/2
-    below the window's lowest even-block sum, while every term of ch K(g) has
-    even-block sum at most sum(lam(g)).  So its Kac character misses the
-    window (the first test of _window_reachable), and the relocations with
-    all values >= B give the whole windowed sum.  Any cutoff <= B gives the
-    same result; an explicit cutoff above B raises OracleInstability with
-    suggested_cutoff = B.  A diagram without crosses has one relocation, the
-    empty one, and never raises.
+    The cutoff is exact.  B is min(value_sum_lo - (sum(crosses) -
+    min(crosses)) - 1, min(crosses)), where value_sum_lo is the lowest value
+    sum whose image can reach the window's lowest even-block sum.  Take a
+    relocation with some value v < B.  Every other value is at most its own
+    cross, so the value sum is at most v + sum(crosses) - min(crosses) <
+    value_sum_lo.  The image diagram g then has sum(lam(g)) = sum(values) +
+    sum(core '>') + m(m-1)/2 below the window's lowest even-block sum, while
+    every term of ch K(g) has even-block sum at most sum(lam(g)).  So its Kac
+    character misses the window (the first test of _window_reachable), and
+    the relocations with all values >= B give the whole windowed sum.  A
+    diagram without crosses has one relocation, the empty one.
     """
-    if not f.crosses:
-        return _oracle_sum(f, window, 0)
-    bound = _suggested_cutoff(f, window)
-    if cutoff is None:
-        cutoff = bound
-    elif cutoff > bound:
-        raise OracleInstability(
-            f"cutoff {cutoff} lies above the proved bound {bound}; "
-            f"relocations between them may reach the window",
-            suggested_cutoff=bound)
-    return _oracle_sum(f, window, cutoff)
-
-
-def _oracle_sum(f: WeightDiagram, window: Window, cutoff: int) -> CharPoly:
-    """The windowed sum itself: relocation signs are accumulated per image
-    weight (equal images merge, cancelling ones drop), and the signed Kac
-    characters are summed in one kac_sum call, which applies the odd factor
-    once to the summed even-block characters."""
+    cutoff = _suggested_cutoff(f, window) if f.crosses else 0
     coeffs: dict[HighestWeight, int] = {}
     for wm in enumerate_weight_maps(f, cutoff):
         chi = weight_from_diagram(wm.image_diagram(f))
@@ -190,57 +163,39 @@ def _oracle_sum(f: WeightDiagram, window: Window, cutoff: int) -> CharPoly:
 
 
 def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
-    """Second oracle route: sum plain alternants over the lattice points of
-    the order polyhedron (signs from the position sums), then divide by the
-    normalized denominator.  The shared tail (alternate_tail) gets the window
-    and expands each Schur block inside it only, so no monomial outside the
-    window is built.  Sign conventions are coded independently of
-    epsilon_sign.  A point x weights each position's exponent vector
-    (position_exponents) by its coordinate.  The cutoff min(crosses) - m*n is
-    exact: a cross value x never exceeds its cross c and a point's odd degree
-    is base_delta + sum(c - x), so a value below the cutoff puts the point
-    above slice_hi = base_delta + m*n, where the slice check drops it."""
+    """Second oracle route: sum plain alternants over the lattice points x of
+    the nesting forest's order polyhedron (polyhedron_of_forest), signed by
+    the position sums, then divide by the normalized denominator.  The shared
+    tail (alternate_tail) gets the window and expands each Schur block inside
+    it only, so no monomial outside the window is built.  Sign conventions
+    are coded independently of epsilon_sign.
+
+    Each position's exponent vector (position_exponents) is weighted by its
+    coordinate: a cross by x, a core symbol by its own position, which gives
+    one constant shift.  The cutoff min(crosses) - m*n is exact: a value x
+    never exceeds its cross c and a point's odd degree is base_delta +
+    sum(c - x), so a value below the cutoff puts the point above
+    slice_hi = base_delta + m*n, where the slice check drops it."""
     m, n = f.m, f.n
     crosses = f.crosses
     exps = position_exponents(f)
-    vecs = tuple(exps.values())
+    cross_vecs = [exps[c] for c in crosses]
+    shift = [sum(p * exps[p][t] for p in f.core_positions) for t in range(m + n)]
     base_delta = sum(p * sum(v[m:]) for p, v in exps.items())
     slice_lo, slice_hi = base_delta, base_delta + m * n
     cutoff = (min(crosses) if crosses else 0) - m * n
 
-    positions = f.positions()
-    cross_slots = [k for k, p in enumerate(positions) if f.symbol(p) == CROSS]
-    poly = OrderPolyhedron(
-        dim=len(positions),
-        bounds={k: positions[k] for k in cross_slots},
-        pinned={k: positions[k] for k in range(len(positions))
-                if k not in set(cross_slots)},
-        chain_edges=_chain_edges(f, positions))
-
     sign_f = -1 if sum(crosses) % 2 else 1
     total: dict[tuple[int, ...], object] = {}
-    for x in enumerate_lattice(poly, cutoff):
-        cross_sum = sum(x[k] for k in cross_slots)
-        sgn = sign_f * (-1 if cross_sum % 2 else 1)
-        vec = [0] * (m + n)
-        for k, v in enumerate(vecs):
+    for x in enumerate_lattice(polyhedron_of_forest(gamma(cap_diagram(f))), cutoff):
+        vec = list(shift)
+        for xi, v in zip(x, cross_vecs):
             for t in range(m + n):
-                vec[t] += x[k] * v[t]
+                vec[t] += xi * v[t]
         if sum(vec[m:]) > slice_hi:
             continue
-        _acc(total, tuple(vec), sgn)
+        _acc(total, tuple(vec), sign_f * (-1 if sum(x) % 2 else 1))
     return alternate_tail(m, n, total, slice_lo, slice_hi, window)
-
-
-def _chain_edges(f: WeightDiagram, positions: tuple[int, ...]) -> frozenset:
-    cf = cap_diagram(f)
-    index = {p: k for k, p in enumerate(positions)}
-    edges = set()
-    for a in f.crosses:
-        for b in f.crosses:
-            if a < b and cf.nested_under(a, b):
-                edges.add((index[a], index[b]))
-    return frozenset(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +286,3 @@ def orthogonality_report(window: tuple[int, int], m: int, n: int,
             first_failure = (f, g, pairing.get(g, 0))
     return OrthogonalityReport(len(family), interior, tuple(excluded),
                                first_failure)
-
-
-def orthogonality_check(window: tuple[int, int], m: int, n: int,
-                        r_max: int) -> bool:
-    return orthogonality_report(window, m, n, r_max).ok

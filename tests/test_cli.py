@@ -1,6 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
+import pathlib
+import re
 
 import pytest
 from hypothesis import assume, given
@@ -283,7 +286,8 @@ def test_instability_exits_3(capsys):
     code, _, err = run(capsys, "char", "--m", "2", "--n", "2",
                        "--lambda", "1,1", "--mu", "-1,-1", "--depth", "0")
     assert code == 3
-    assert "depth" in err
+    assert err == ("error: depth 0 cuts a geometric series short inside the "
+                   "odd-degree slice (retry with --depth 4)\n")
 
 
 def test_verify_single_suite(capsys):
@@ -298,13 +302,23 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_verify_cutoff_override(capsys):
-    # a generous override still passes; a shallow one is caught as
-    # instability and fails the suite instead of crashing
-    code, out, _ = run(capsys, "verify", "--only", "oracle", "--cutoff", "-25")
-    assert code == 0 and "PASS" in out
-    code, out, _ = run(capsys, "verify", "--only", "oracle", "--cutoff", "0")
-    assert code == 4
-    assert "FAIL" in out
+    # the oracle always uses its proved cutoff; an override is not an option
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--only", "oracle", "--cutoff", "0"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --cutoff 0" in capsys.readouterr().err
+
+
+def test_readme_flags_are_the_parser_options():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    [paragraph] = [p for p in readme.split("\n\n") if p.startswith("Flags:")]
+    documented = {flag for span in re.findall(r"`([^`]*)`", paragraph)
+                  for flag in re.findall(r"--[a-z]+", span)}
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for sub in commands.choices.values() for action in sub._actions
+               for opt in action.option_strings} - {"-h", "--help"}
+    assert documented == options
 
 
 def test_diagram_typical_renders_core_only(capsys):

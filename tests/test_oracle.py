@@ -5,6 +5,8 @@ import pytest
 
 import superchar.cli as cli
 import superchar.oracle as oracle_module
+from superchar.capgraph import gamma
+from superchar.caps import cap_diagram
 from superchar.charring import (
     CharPoly,
     Window,
@@ -13,17 +15,14 @@ from superchar.charring import (
     irreducible_char,
     kac_char,
 )
-from superchar.latticegen import enumerate_lattice
+from superchar.latticegen import enumerate_lattice, polyhedron_of_forest
 from superchar.oracle import (
-    OracleInstability,
     WeightMap,
     enumerate_weight_maps,
     epsilon_sign,
     oracle_char,
     oracle_char_lattice,
-    orthogonality_check,
     orthogonality_report,
-    _chain_edges,
     _suggested_cutoff,
     _window_reachable,
 )
@@ -53,7 +52,7 @@ def test_enumerate_single_cross():
 
 def test_enumerate_nested_pair():
     maps = enumerate_weight_maps(crosses_only(0, 1), -1)
-    assert sorted(wm.sorted_items() for wm in maps) == [
+    assert sorted(tuple(sorted(wm.phi.items())) for wm in maps) == [
         (((0, -1), (1, 0))), (((0, -1), (1, 1))), (((0, 0), (1, 1)))]
 
 
@@ -70,11 +69,9 @@ def test_enumerate_avoids_core_positions():
 
 
 def test_enumerate_matches_lattice_points_of_region():
-    # relocations with values above a cutoff correspond to the injective,
-    # order-compatible integer points of the full-dimensional region (core
-    # coordinates pinned at their own positions)
-    from superchar.latticegen import OrderPolyhedron
-
+    # relocations with values above a cutoff correspond to the injective
+    # integer points of the nesting forest's polyhedron that avoid the cores
+    # and are strict along the forest edges
     rng = random.Random(67)
     diagrams = [crosses_only(0, 1, 3), crosses_only(0, 1, 2),
                 WeightDiagram({0: CROSS, 1: GREATER, 2: CROSS}),
@@ -85,22 +82,14 @@ def test_enumerate_matches_lattice_points_of_region():
             continue
         cutoff = min(f.crosses) - 2
         maps = enumerate_weight_maps(f, cutoff)
-        positions = f.positions()
-        cross_slots = {k for k, p in enumerate(positions) if f.symbol(p) == CROSS}
-        chains = _chain_edges(f, positions)
-        poly = OrderPolyhedron(
-            dim=len(positions),
-            bounds={k: positions[k] for k in cross_slots},
-            pinned={k: positions[k] for k in range(len(positions))
-                    if k not in cross_slots},
-            chain_edges=chains)
+        forest = gamma(cap_diagram(f))
+        cores = set(f.core_positions)
         points = [
-            x for x in enumerate_lattice(poly, cutoff)
-            if len(set(x)) == len(x)
-            and all(x[i] < x[j] for i, j in chains)]
+            x for x in enumerate_lattice(polyhedron_of_forest(forest), cutoff)
+            if len(set(x)) == len(x) and not cores & set(x)
+            and all(x[i] < x[j] for i, j in forest.edges)]
         got = sorted(tuple(wm.phi[c] for c in f.crosses) for wm in maps)
-        expected = sorted(tuple(x[k] for k in sorted(cross_slots)) for x in points)
-        assert got == expected, f
+        assert got == sorted(points), f
 
 
 def test_epsilon_identity_map():
@@ -175,14 +164,6 @@ def test_oracle_gl11_telescopes_to_monomial():
     assert ch.terms == {(4, -4): 1}
 
 
-def test_oracle_instability_reported():
-    chi = HighestWeight(1, 1, (4,), (-4,))
-    f = diagram_of_weight(chi)
-    window = Window(((2, 5),), ((-5, -2),))
-    with pytest.raises(OracleInstability):
-        oracle_char(f, window, cutoff=4)
-
-
 GL33_WEIGHTS = [HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3)),
                 HighestWeight(3, 3, (2, 2, 2), (-2, -2, -2)),
                 HighestWeight(3, 3, (3, 2, 2), (-1, -2, -3))]
@@ -227,23 +208,17 @@ def test_lattice_points_below_default_cutoff_leave_the_slice(monkeypatch):
         with pytest.raises(_Captured) as info:
             oracle_char_lattice(f, window)
         poly, default = info.value.args
+        assert poly == polyhedron_of_forest(gamma(cap_diagram(f))), chi
         assert default == min(f.crosses) - f.m * f.n, chi
-        positions = f.positions()
-        cross_slots = [k for k, p in enumerate(positions) if f.symbol(p) == CROSS]
-        odd_slots = [k for k, p in enumerate(positions) if f.symbol(p) in (CROSS, LESS)]
-        slice_hi = -sum(positions[k] for k in odd_slots) + f.m * f.n
+        # a point's odd degree is -sum('<' positions) - sum(x); the slice
+        # ends m*n above its value at the crosses themselves
+        less_sum = sum(f.less_positions)
+        slice_hi = -less_sum - sum(f.crosses) + f.m * f.n
         for x in enumerate_lattice(poly, default - 3):
-            if min(x[k] for k in cross_slots) < default:
+            if min(x) < default:
                 below += 1
-                assert -sum(x[k] for k in odd_slots) > slice_hi, (chi, x)
+                assert -less_sum - sum(x) > slice_hi, (chi, x)
     assert below  # the enumeration at default - 3 does reach below the default
-
-
-def test_cutoff_above_bound_raises_with_the_bound():
-    for chi, f, window, bound in _cutoff_cases():
-        with pytest.raises(OracleInstability) as info:
-            oracle_char(f, window, cutoff=bound + 1)
-        assert info.value.suggested_cutoff == bound, chi
 
 
 def test_oracle_agrees_with_engine_on_grid():
@@ -325,8 +300,8 @@ def test_signed_alternant_identity_per_relocation():
 
 
 def test_orthogonality_small_windows():
-    assert orthogonality_check((0, 5), 1, 1, 1)
-    assert orthogonality_check((0, 6), 2, 2, 2)
+    assert orthogonality_report((0, 5), 1, 1, 1).ok
+    assert orthogonality_report((0, 6), 2, 2, 2).ok
 
 
 def test_orthogonality_report_details():
