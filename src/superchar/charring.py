@@ -113,16 +113,6 @@ class CharPoly:
                 _acc(out, tuple(map(add, v1, v2)), c1 * c2)
         return self._like(out)
 
-    def shift(self, vec: Vec) -> "CharPoly":
-        return self._like({tuple(map(add, v, vec)): c
-                           for v, c in self.terms.items()})
-
-    def delta_sum_slice(self, lo: int, hi: int) -> "CharPoly":
-        """Keep terms whose odd-exponent sum lies in [lo, hi]."""
-        m = self.m
-        return self._like({v: c for v, c in self.terms.items()
-                           if lo <= sum(v[m:]) <= hi})
-
     def restrict(self, window: "Window") -> "CharPoly":
         return self._like({v: c for v, c in self.terms.items()
                            if window.contains(v)})
@@ -413,15 +403,9 @@ def _schur_block(lam: tuple[int, ...], box: tuple[tuple[int, int], ...] | None =
     return tuple(out.items())
 
 
-def weyl0_character(chi: HighestWeight) -> CharPoly:
-    """Character of the even-part irreducible: a product of two Laurent Schur
-    polynomials, one per block."""
-    return CharPoly(chi.m, chi.n, {ve + vd: ce * cd for ve, ce in _schur_block(chi.lam)
-                                   for vd, cd in _schur_block(chi.mu)})
-
-
 # ---------------------------------------------------------------------------
-# the alternation tail shared by the formula engine and the lattice oracle
+# the alternation tail shared by the formula engine, the Kac sums and the
+# lattice oracle
 
 def alternate_tail(m: int, n: int, num: dict[Vec, object],
                    slice_lo: int, slice_hi: int,
@@ -446,7 +430,19 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
     half of the window only (_schur_block), which equals the whole expansion
     restricted to the window.  Coefficients may be ints or Fractions; the
     formula engine scales its numerator to ints before calling (_engine).
+
+    A window also clips the slice, exactly: the odd block of omega - rho is
+    homogeneous of degree deg(omega) - sum(rho_delta), deg the odd degree,
+    so omega has a weight in the window only if that degree lies between the
+    sums of the window's odd lower bounds and of its odd upper bounds.
     """
+    r = rho(m, n)
+    if window is not None:
+        shift = sum(r.delta_part)
+        slice_lo = max(slice_lo, sum(lo for lo, _ in window.delta) + shift)
+        slice_hi = min(slice_hi, sum(hi for _, hi in window.delta) + shift)
+        if slice_lo > slice_hi:
+            return CharPoly.zero(m, n)
     folded = _fold(m, num.items())
 
     left = m * n
@@ -467,7 +463,6 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
         terms = _fold(m, terms.items(), odd=j == m + n - 1)
 
     # group by the even block so each even Schur block is expanded once
-    r = rho(m, n)
     eps_box, delta_box = (window.eps, window.delta) if window else (None, None)
     odd_parts: dict[Vec, dict[Vec, int]] = {}
     for w, c in terms.items():
@@ -499,78 +494,32 @@ def kac_sum(m: int, n: int, coeffs: dict[HighestWeight, int],
     """Sum of c * ch K(chi) over a map chi -> c, restricted to a window if
     one is given.
 
-    Every Kac character is the odd factor Q, the product over eps_i - delta_j
-    of (1 + e^{-(eps_i - delta_j)}), times the even-block character
-    ch L0(chi), so the sum is Q * (sum of c * ch L0(chi)): the even parts are
-    summed first and Q is applied once, one binomial at a time (i outer, j
-    inner), each term v adding v - eps_i + delta_j.
-
-    Without a window, the window is a box that holds the whole sum: a block's
-    exponents lie in [lam_k, lam_1] and Q lowers even exponents by at most n
-    and raises odd ones by at most m.  Terms that can no longer reach the
-    window are dropped after every binomial, and the drop is exact.  Let rem_s be the number of
-    binomials not yet applied that touch slot s.  Even exponents only fall and
-    odd ones only rise, each by at most rem_s, so a term can reach the window
-    only if lo <= v_s <= hi + rem_s on every even slot and
-    lo - rem_s <= v_s <= hi on every odd slot; a term outside this box
-    contributes nothing inside the window.  At the start rem_s is n on the
-    even slots and m on the odd ones, so the even blocks are built by the
-    branching kernel (_schur_block) inside the window widened by n upwards on
-    the even slots and by m downwards on the odd ones; after the last
-    binomial every rem_s is 0, the box is the window itself and no final
-    restriction is needed.
+    ch K(chi) = Q * ch L0(chi), and by Weyl's formula ch L0(chi) is
+    J(e^(chi+rho)) over the tail's denominator.  Q is W0-invariant, so
+    ch K(chi) is the alternation tail on one term, the Kac coordinate
+    chi + rho, over a slice that holds every odd degree: Q raises it by 0
+    to m*n.
     """
-    if window is None:
-        if not coeffs:
-            return CharPoly.zero(m, n)
-        window = Window(
-            ((min(chi.lam[-1] for chi in coeffs) - n, max(chi.lam[0] for chi in coeffs)),) * m,
-            ((min(chi.mu[-1] for chi in coeffs), max(chi.mu[0] for chi in coeffs) + m),) * n)
-    lo = [b for b, _ in window.eps + window.delta]
-    hi = [b for _, b in window.eps + window.delta]
-    eps_box = tuple((b, t + n) for b, t in window.eps)
-    delta_box = tuple((b - m, t) for b, t in window.delta)
-    terms: dict[Vec, int] = {}
-    for chi, c in coeffs.items():
-        s_eps = _schur_block(chi.lam, eps_box)
-        if not s_eps:
-            continue
-        for vd, cd in _schur_block(chi.mu, delta_box):
-            for ve, ce in s_eps:
-                _acc(terms, ve + vd, c * ce * cd)
-
-    rem = [n] * m + [m] * n
-    for i in range(m):
-        for j in range(m, m + n):
-            rem[i] -= 1
-            rem[j] -= 1
-            top_i, bot_j = hi[i] + rem[i], lo[j] - rem[j]
-            lo_i, hi_j = lo[i], hi[j]
-            step = tuple(-1 if s == i else 1 if s == j else 0 for s in range(m + n))
-            out = {v: c for v, c in terms.items() if v[i] <= top_i and v[j] >= bot_j}
-            for v, c in terms.items():
-                if v[i] > lo_i and v[j] < hi_j:
-                    _acc(out, tuple(map(add, v, step)), c)
-            terms = out
-    return CharPoly(m, n, terms)
+    num = {chi_plus_rho_exponent(chi): c for chi, c in coeffs.items()}
+    if not num:
+        return CharPoly.zero(m, n)
+    degrees = [sum(v[m:]) for v in num]
+    return alternate_tail(m, n, num, min(degrees), max(degrees) + m * n, window)
 
 
 def kac_char(f: WeightDiagram) -> CharPoly:
-    """Character of the Kac module of a diagram: the odd exterior factor times
-    the even-block character, applied one binomial at a time (kac_sum).
-
-    The alternant form (the shifted alternant divided by the normalized
-    denominator) is checked against it by `verify --only kac` and the tests.
-    """
+    """Character of the Kac module of a diagram: the alternation tail shared
+    with the formula engine and both oracles, on one Kac coordinate
+    (kac_sum).  `verify --only kac` and the tests check it against the
+    alternant form, whose odd factor is the full product q_odd_product."""
     chi = weight_from_diagram(f)
     return kac_sum(chi.m, chi.n, {chi: 1})
 
 
 def kac_char_window(f: WeightDiagram, window: Window) -> CharPoly:
     """Kac character restricted to a box, computed without expanding the whole
-    module: the even blocks are built by the branching kernel inside a widened
-    box, and terms that cannot reach the box are dropped after every odd
-    binomial (kac_sum)."""
+    module: the shared tail clips its slice to the box and expands each Schur
+    block inside it only (kac_sum, alternate_tail)."""
     chi = weight_from_diagram(f)
     return kac_sum(chi.m, chi.n, {chi: 1}, window)
 

@@ -5,8 +5,9 @@ cap ends come from a stack matcher, extension counts from filtering raw
 permutations, Schur weights from semistandard tableaux or a ratio of
 alternants, lattice points from plain nested loops, the alternation tail from
 full-orbit expansion and exact division instead of folding and Schur-block
-assembly, theta from one built subgraph per edge subset instead of an
-edge-mask walk, the orthogonality product by pairing every row with every
+assembly, Kac characters from whole even-block characters times the fully
+expanded odd factor, theta from one built subgraph per edge subset instead of
+an edge-mask walk, the orthogonality product by pairing every row with every
 column, the proj output from one swapped diagram per subset of crosses.
 """
 
@@ -23,12 +24,32 @@ from superchar.capgraph import ThetaPoly, _component_min_vertex, linear_extensio
 from superchar.caps import _swap, cap_diagram, projective_family
 from superchar.charring import (
     CharPoly,
+    _schur_block,
     alt_J,
     divide_exact,
     even_positive_roots,
     q_odd_product,
 )
 from superchar.weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram, ab_from_diagram, rho
+
+
+def shift(p: CharPoly, vec) -> CharPoly:
+    """p times the monomial e^vec."""
+    return CharPoly(p.m, p.n, {tuple(a + b for a, b in zip(v, vec)): c
+                               for v, c in p.terms.items()})
+
+
+def delta_sum_slice(p: CharPoly, lo: int, hi: int) -> CharPoly:
+    """The terms of p whose odd-exponent sum lies in [lo, hi]."""
+    return CharPoly(p.m, p.n, {v: c for v, c in p.terms.items()
+                               if lo <= sum(v[p.m:]) <= hi})
+
+
+def weyl0_character(chi: HighestWeight) -> CharPoly:
+    """Character of the even-part irreducible: a product of two Laurent Schur
+    polynomials, one per block."""
+    return CharPoly(chi.m, chi.n, {ve + vd: ce * cd for ve, ce in _schur_block(chi.lam)
+                                   for vd, cd in _schur_block(chi.mu)})
 
 
 def dominant_weights(m, n, lo, hi):
@@ -187,7 +208,7 @@ def schur_block_by_division(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     numerator = alt_J(CharPoly.monomial(k, 0, shifted))
     for alpha in even_positive_roots(k, 0):
         numerator = divide_exact(numerator, alpha)
-    return numerator.shift(tuple(-s for s in staircase)).terms
+    return shift(numerator, tuple(-s for s in staircase)).terms
 
 
 def weyl_dimension(lam: tuple[int, ...]) -> int:
@@ -217,12 +238,12 @@ def tail_by_division(m, n, num, slice_lo, slice_hi):
     """The alternation tail the long way round: expand J over the full W0
     orbit, multiply by the whole odd factor, keep the odd-degree slice, divide
     by every even positive root and unshift by rho."""
-    t = (alt_J(CharPoly(m, n, num)) * q_odd_product(m, n)).delta_sum_slice(
-        slice_lo, slice_hi)
+    t = delta_sum_slice(alt_J(CharPoly(m, n, num)) * q_odd_product(m, n),
+                        slice_lo, slice_hi)
     for alpha in even_positive_roots(m, n):
         t = divide_exact(t, alpha)
     r = rho(m, n)
-    return t.shift(tuple(-x for x in r.eps_part + r.delta_part))
+    return shift(t, tuple(-x for x in r.eps_part + r.delta_part))
 
 
 def orthogonality_dense(window, m, n, r_max):

@@ -354,9 +354,10 @@ def test_injected_sign_bug_fails_oracle_suite(capsys, monkeypatch):
 def test_full_verify_computes_each_character_once(capsys, monkeypatch):
     # oracle, variants and supersymmetry check the same classic characters
     # and kac and supersymmetry the same Kac characters of the 325 grid
-    # weights: one run makes 650 engine tails (classic and reduced), not
-    # 1,300, and 325 Kac characters, not 650
-    counts = {"tail": 0, "kac": 0}
+    # weights: one run makes 650 engine runs (classic and reduced), not
+    # 1,300, and 325 Kac characters, not 650.  The engine is counted, not
+    # alternate_tail, which the Kac characters and oracles run through too
+    counts = {"engine": 0, "kac": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -365,13 +366,13 @@ def test_full_verify_computes_each_character_once(capsys, monkeypatch):
         wrapper.__name__ = fn.__name__
         return wrapper
 
-    monkeypatch.setattr(superchar.charring, "alternate_tail",
-                        counted("tail", superchar.charring.alternate_tail))
+    monkeypatch.setattr(superchar.charring, "_engine",
+                        counted("engine", superchar.charring._engine))
     monkeypatch.setattr(cli, "kac_char", counted("kac", cli.kac_char))
     code, _, _ = run(capsys, "verify")
     assert code == 0
-    assert counts == {"tail": 650, "kac": 325}
+    assert counts == {"engine": 650, "kac": 325}
     # nothing is shared between runs
-    counts.update(tail=0, kac=0)
+    counts.update(engine=0, kac=0)
     code, _, _ = run(capsys, "verify", "--only", "oracle")
-    assert code == 0 and counts == {"tail": 325, "kac": 0}
+    assert code == 0 and counts == {"engine": 325, "kac": 0}

@@ -14,9 +14,10 @@ from superchar.charring import (
     alternate_tail,
     auto_depth,
     irreducible_char,
+    kac_char,
 )
-from superchar.oracle import oracle_char_lattice
-from superchar.weights import HighestWeight, diagram_of_weight
+from superchar.oracle import oracle_char, oracle_char_lattice
+from superchar.weights import HighestWeight, diagram_of_weight, rho
 
 from helpers import dominant_weights, tail_by_division
 
@@ -49,10 +50,13 @@ def test_alternate_tail_matches_division_route(m, n, fractions):
 
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_windowed_tail_is_the_restricted_tail(m, n):
-    # random boxes cut from the support's hull widened by one, and one box
-    # past the support on an even slot
+    # random boxes cut from the support's hull widened by one, one box past
+    # the support on an even slot, one whose odd slot is moved past the
+    # slice so the clip empties it, and one whose odd-degree range lies
+    # strictly inside the slice
     rng = random.Random(2000 + 10 * m + n)
-    hits = misses = 0
+    rho_delta = sum(rho(m, n).delta_part)
+    hits = misses = inside = 0
     for _ in range(8 if m * n < 9 else 3):
         num = _random_numerator(rng, m, n, rng.random() < 0.3)
         lo = rng.randint(-3 * n, 2 * n)
@@ -61,17 +65,32 @@ def test_windowed_tail_is_the_restricted_tail(m, n):
         if full.is_zero():
             continue
         hull = Window.hull(full, margin=1)
-        for trial in range(4):
+        for trial in range(6):
             eps, delta = ([(rng.randint(a, a + 2), rng.randint(b - 2, b)) for a, b in slots]
                           for slots in (hull.eps, hull.delta))
             if trial == 3:
                 eps[0] = (hull.eps[0][1], hull.eps[0][1] + 2)
+            if trial == 4:
+                # the window's lowest odd degree plus sum(rho_delta) is one
+                # past the slice's top, beyond the support
+                start = hi - rho_delta + 1 - sum(b for b, _ in delta[1:])
+                delta[0] = (start, start + 2)
+            if trial == 5:
+                if hi - lo < 2:
+                    continue
+                # other odd slots pinned to one value; the window's odd
+                # degrees are then exactly [lo + 1, hi - 1] - sum(rho_delta)
+                delta[1:] = [(x, x) for x in (rng.randint(b, t) for b, t in hull.delta[1:])]
+                rest = sum(x for x, _ in delta[1:])
+                delta[0] = (lo + 1 - rho_delta - rest, hi - 1 - rho_delta - rest)
+                inside += 1
             window = Window(tuple(eps), tuple(delta))
             expected = full.restrict(window)
             hits += not expected.is_zero()
             misses += expected.is_zero()
             assert alternate_tail(m, n, num, lo, hi, window) == expected, (num, window)
     assert hits and misses
+    assert inside or m * n < 2
 
 
 def _series_bound(chi, variant):
@@ -135,21 +154,24 @@ def test_depth_must_be_auto_or_an_int(depth):
 
 
 def test_tail_never_expands_the_whole_odd_factor(monkeypatch):
-    # the tail applies Q one binomial at a time, so both of its callers give
-    # the same results with the full product unavailable
+    # the tail applies Q one binomial at a time, so all of its callers (the
+    # engine, the Kac characters and both oracles) give the same results
+    # with the full product unavailable
     cases = [HighestWeight(2, 2, (1, 0), (0, -1)),
              HighestWeight(3, 2, (1, 1, 0), (0, -1)),
              HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3))]
-    expected = []
-    for chi in cases:
-        ch = irreducible_char(chi)
-        window = Window.hull(ch, margin=1)
-        expected.append((ch, window, oracle_char_lattice(diagram_of_weight(chi), window)))
+
+    def run_all(chi, window):
+        f = diagram_of_weight(chi)
+        return (irreducible_char(chi), kac_char(f), oracle_char(f, window),
+                oracle_char_lattice(f, window))
+
+    windows = [Window.hull(irreducible_char(chi), margin=1) for chi in cases]
+    expected = [run_all(chi, window) for chi, window in zip(cases, windows)]
 
     def unavailable(m, n):
         raise AssertionError("the full odd factor was expanded")
 
     monkeypatch.setattr(charring, "q_odd_product", unavailable)
-    for chi, (ch, window, lattice) in zip(cases, expected):
-        assert irreducible_char(chi) == ch, chi
-        assert oracle_char_lattice(diagram_of_weight(chi), window) == lattice, chi
+    for chi, window, results in zip(cases, windows, expected):
+        assert run_all(chi, window) == results, chi
