@@ -264,17 +264,16 @@ def _sort_desc_signed(seq: Vec) -> tuple[int, Vec | None]:
     return (-1 if inv & 1 else 1), tuple(sorted(seq, reverse=True))
 
 
-def _fold(m: int, terms, odd: bool = True) -> dict[Vec, object]:
+def _fold(m: int, terms) -> dict[Vec, object]:
     """Sum (vector, coefficient) pairs onto the strictly decreasing (per
     block) representatives of their orbits, with the sign of the sorting
-    permutation; terms with a repeated entry in a block die.  odd=False
-    folds the even block only."""
+    permutation; terms with a repeated entry in a block die."""
     into: dict[Vec, object] = {}
     for v, c in terms:
         s1, eps = _sort_desc_signed(v[:m])
         if s1 == 0:
             continue
-        s2, delta = _sort_desc_signed(v[m:]) if odd else (1, v[m:])
+        s2, delta = _sort_desc_signed(v[m:])
         if s2 == 0:
             continue
         _acc(into, eps + delta, c if s1 == s2 else -c)
@@ -407,6 +406,36 @@ def _schur_block(lam: tuple[int, ...], box: tuple[tuple[int, int], ...] | None =
 # the alternation tail shared by the formula engine, the Kac sums and the
 # lattice oracle
 
+@lru_cache(maxsize=1024)
+def _strips(block: Vec) -> tuple[tuple[Vec, ...], ...]:
+    """Vertical strips on a strictly decreasing block: entry k lists the
+    blocks block - 1_S over the k-subsets S of its slots that stay strictly
+    decreasing, i.e. where no lowered slot ends equal to its unlowered right
+    neighbour (alternate_tail).  That neighbour is one below the lowered
+    slot only inside a run of consecutive entries, so S is valid exactly
+    when it meets each maximal run in a suffix of it: one choice of suffix
+    length per run, and no candidate is rejected.  The cache is bounded: a
+    large weight's blocks are mostly seen once (gl(6|6) trivial meets
+    19,725), and keeping them all doubles its peak memory."""
+    runs: list[Vec] = []
+    for i, x in enumerate(block):
+        if i and block[i - 1] == x + 1:
+            runs[-1] += (x,)
+        else:
+            runs.append((x,))
+    out: list[list[Vec]] = [[()]]
+    for run in runs:
+        size = len(run)
+        ends = [run[:size - t] + tuple(x - 1 for x in run[size - t:])
+                for t in range(size + 1)]
+        nxt: list[list[Vec]] = [[] for _ in range(len(out) + size)]
+        for k, heads in enumerate(out):
+            for t, end in enumerate(ends):
+                nxt[k + t].extend(head + end for head in heads)
+        out = nxt
+    return tuple(map(tuple, out))
+
+
 def alternate_tail(m: int, n: int, num: dict[Vec, object],
                    slice_lo: int, slice_hi: int,
                    window: Window | None = None) -> CharPoly:
@@ -416,18 +445,34 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
 
     J commutes with multiplying by anything W0-invariant and the slice is
     W0-stable, so J(num * Q) = J(fold(num) * Q).  Q, the product of the m*n
-    binomials (1 + e^{-(eps_i - delta_j)}), is applied one binomial at a
-    time, j (odd slot) outer and i (even slot) inner.  A binomial adds 0 or 1
-    to a term's odd degree d, so with k binomials left the term ends in
-    [d, d + k]: keeping slice_lo - m*n <= d <= slice_hi at the start, then
-    the untaken branch only while d + k >= slice_lo and the step only while
-    d < slice_hi, drops exactly the terms that cannot end in the slice.
-    Once column j is done the binomials left are symmetric in the even
-    block, so the even block is folded there; the odd block is folded once,
-    after the last column.  A folded term e^omega contributes the product
-    of the two Laurent Schur blocks of highest weight omega - rho.  A window
-    is a product of per-slot intervals, so each block is expanded inside its
-    half of the window only (_schur_block), which equals the whole expansion
+    binomials (1 + e^{-(eps_i - delta_j)}), is applied one odd column at a
+    time: column j is prod_i (1 + y_j / x_i) = sum_k y_j^k e_k(1/x), and
+    every term stays folded.
+
+    Pieri step.  The columns are symmetric in the even block, so for a
+    strictly decreasing even block v, J(x^v e_k(1/x) g) is the sum of
+    J(x^(v - 1_S) g) over the k-subsets S of the even slots.  Lowering S
+    keeps the gap between slots i and i+1 when both or neither is lowered,
+    widens it when only i+1 is, and narrows it by one when only i is; so
+    v - 1_S is strictly decreasing unless a lowered slot now equals its
+    unlowered right neighbour, where it has a repeat and J kills it.  The
+    surviving strips (_strips, cached per block) are folded terms with sign
+    +1 and need no re-sort.
+
+    Insertion fold.  The columns after j touch neither odd slot j nor the
+    ones before it, so what is left of Q is symmetric in odd slots 0..j,
+    and J(sigma f * g) = sgn(sigma) J(f * g) for sigma permuting them.  Slots
+    0..j-1 are kept strictly decreasing, so column j inserts y_j + k into
+    them with sign (-1)^(places passed), and drops the term on a tie.  After
+    the last column both blocks are folded.
+
+    Prune.  A column adds k in [0, m] to a term's odd degree d, so with c
+    columns after it the term ends in [d + k, d + k + m*c]: keeping d + k
+    in [slice_lo - m*c, slice_hi] drops exactly the terms that cannot end
+    in the slice.  A folded term e^omega contributes the product of the two
+    Laurent Schur blocks of highest weight omega - rho.  A window is a
+    product of per-slot intervals, so each block is expanded inside its half
+    of the window only (_schur_block), which equals the whole expansion
     restricted to the window.  Coefficients may be ints or Fractions; the
     formula engine scales its numerator to ints before calling (_engine).
 
@@ -443,24 +488,30 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
         slice_hi = min(slice_hi, sum(hi for _, hi in window.delta) + shift)
         if slice_lo > slice_hi:
             return CharPoly.zero(m, n)
-    folded = _fold(m, num.items())
-
-    left = m * n
-    terms = {v: c for v, c in folded.items()
-             if slice_lo - left <= sum(v[m:]) <= slice_hi}
-    for j in range(m, m + n):
-        for i in range(m):
-            left -= 1
-            step = tuple(-1 if s == i else 1 if s == j else 0 for s in range(m + n))
-            nxt: dict[Vec, int] = {}
-            for v, c in terms.items():
-                d = sum(v[m:])
-                if d + left >= slice_lo:
-                    _acc(nxt, v, c)
-                if d < slice_hi:
-                    _acc(nxt, tuple(map(add, v, step)), c)
-            terms = nxt
-        terms = _fold(m, terms.items(), odd=j == m + n - 1)
+    terms = {v: c for v, c in _fold(m, num.items()).items()
+             if slice_lo - m * n <= sum(v[m:]) <= slice_hi}
+    for j in range(n):
+        left = m * (n - 1 - j)
+        nxt: dict[Vec, object] = {}
+        get = nxt.get
+        for v, c in terms.items():
+            odd = v[m:]
+            head, y, rest = odd[:j], odd[j], odd[j + 1:]
+            d = sum(odd)
+            strips = _strips(v[:m])
+            p = j
+            for k in range(max(0, slice_lo - left - d), min(m, slice_hi - d) + 1):
+                z = y + k
+                while p and head[p - 1] < z:
+                    p -= 1
+                if p and head[p - 1] == z:
+                    continue
+                ys = head[:p] + (z,) + head[p:] + rest
+                ck = -c if (j - p) & 1 else c
+                for low in strips[k]:
+                    key = low + ys
+                    nxt[key] = get(key, 0) + ck
+        terms = {v: c for v, c in nxt.items() if c}
 
     # group by the even block so each even Schur block is expanded once
     eps_box, delta_box = (window.eps, window.delta) if window else (None, None)
@@ -469,12 +520,14 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
         lam = tuple(map(sub, w[:m], r.eps_part))
         inner = odd_parts.setdefault(lam, {})
         for vd, cd in _schur_block(tuple(map(sub, w[m:], r.delta_part)), delta_box):
-            _acc(inner, vd, c * cd)
+            inner[vd] = inner.get(vd, 0) + c * cd
     out: dict[Vec, object] = {}
     for lam, inner in odd_parts.items():
+        odd_terms = [(vd, cd) for vd, cd in inner.items() if cd]
         for ve, ce in _schur_block(lam, eps_box):
-            for vd, cd in inner.items():
-                _acc(out, ve + vd, ce * cd)
+            for vd, cd in odd_terms:
+                key = ve + vd
+                out[key] = out.get(key, 0) + ce * cd
     return CharPoly(m, n, out)
 
 
@@ -489,10 +542,11 @@ def gt_multiplicity(lam: tuple[int, ...], w: Vec) -> int:
 # ---------------------------------------------------------------------------
 # Kac characters
 
-def kac_sum(m: int, n: int, coeffs: dict[HighestWeight, int],
+def kac_sum(m: int, n: int, coeffs: dict[Vec, int],
             window: Window | None = None) -> CharPoly:
-    """Sum of c * ch K(chi) over a map chi -> c, restricted to a window if
-    one is given.
+    """Sum of c * ch K(omega - rho) over a map from Kac coordinates omega
+    (chi + rho as chi_plus_rho_exponent writes it) to coefficients c,
+    restricted to a window if one is given.
 
     ch K(chi) = Q * ch L0(chi), and by Weyl's formula ch L0(chi) is
     J(e^(chi+rho)) over the tail's denominator.  Q is W0-invariant, so
@@ -500,11 +554,10 @@ def kac_sum(m: int, n: int, coeffs: dict[HighestWeight, int],
     chi + rho, over a slice that holds every odd degree: Q raises it by 0
     to m*n.
     """
-    num = {chi_plus_rho_exponent(chi): c for chi, c in coeffs.items()}
-    if not num:
+    if not coeffs:
         return CharPoly.zero(m, n)
-    degrees = [sum(v[m:]) for v in num]
-    return alternate_tail(m, n, num, min(degrees), max(degrees) + m * n, window)
+    degrees = [sum(v[m:]) for v in coeffs]
+    return alternate_tail(m, n, coeffs, min(degrees), max(degrees) + m * n, window)
 
 
 def kac_char(f: WeightDiagram) -> CharPoly:
@@ -513,7 +566,7 @@ def kac_char(f: WeightDiagram) -> CharPoly:
     (kac_sum).  `verify --only kac` and the tests check it against the
     alternant form, whose odd factor is the full product q_odd_product."""
     chi = weight_from_diagram(f)
-    return kac_sum(chi.m, chi.n, {chi: 1})
+    return kac_sum(chi.m, chi.n, {chi_plus_rho_exponent(chi): 1})
 
 
 def kac_char_window(f: WeightDiagram, window: Window) -> CharPoly:
@@ -521,7 +574,7 @@ def kac_char_window(f: WeightDiagram, window: Window) -> CharPoly:
     module: the shared tail clips its slice to the box and expands each Schur
     block inside it only (kac_sum, alternate_tail)."""
     chi = weight_from_diagram(f)
-    return kac_sum(chi.m, chi.n, {chi: 1}, window)
+    return kac_sum(chi.m, chi.n, {chi_plus_rho_exponent(chi): 1}, window)
 
 
 # ---------------------------------------------------------------------------
@@ -631,20 +684,49 @@ def _engine(chi: HighestWeight, variant: str, depth: int) -> CharPoly:
 
     # theta's coefficients are rationals: scale them to integers once, run
     # the series and the tail on ints, and divide back once at the end.
-    # Each step vec -= alpha (alpha = eps_i - delta_j) raises the odd degree
-    # by one, so a series runs from a term's odd degree up to slice_hi.
+    # Each step t -> t + 1 (vec -= alpha, alpha = eps_i - delta_j) raises the
+    # odd degree by one, so a series runs from a term's odd degree up to
+    # slice_hi.
+    #
+    # Partial folds.  Each atypical root touches its own even slot and odd
+    # slot; no two roots share a slot.  Once a root's series is done, its
+    # two slots are final, and so is every slot no root touches: the series
+    # still to come and Q are symmetric under permuting the final slots of
+    # one block (a series is cut by the odd degree, which a permutation
+    # keeps), and J(sigma f * g) = sgn(sigma) J(f * g) for a sigma-invariant
+    # g.  So the slots are first relabelled, with the sign of the
+    # relabelling, to list in each block the untouched slots, then the
+    # roots' slots in order: the final slots are then a prefix of each
+    # block, kept strictly decreasing.  A series term inserts its two new
+    # values into the two prefixes with sign (-1)^(places passed) and dies
+    # on a tie, as alternate_tail's odd columns do; equal terms merge, so
+    # this shrinks the work and does not only prune it.
     scale = lcm(*(c.denominator for c in num.values()))
-    num = {v: int(c * scale) for v, c in num.items()}
-    for alpha in alphas:
+    pairs = [(alpha.index(1), alpha.index(-1)) for alpha in alphas]
+    roots = {s for pair in pairs for s in pair}
+    order = ([s for s in range(m) if s not in roots] + [i for i, _ in pairs]
+             + [s for s in range(m, m + n) if s not in roots] + [j for _, j in pairs])
+    sign, _ = _sort_desc_signed(tuple(-s for s in order))  # order's parity
+    num = {tuple(v[s] for s in order): sign * int(c * scale) for v, c in num.items()}
+    for i, j in zip(range(m - len(pairs), m), range(m + n - len(pairs), m + n)):
         nxt: dict[Vec, int] = {}
+        get = nxt.get
         for v, c in num.items():
-            vec = list(v)
-            for _ in range(slice_hi - sum(v[m:]) + 1):
-                _acc(nxt, tuple(vec), c)
-                c = -c
-                for k in range(m + n):
-                    vec[k] -= alpha[k]
-        num = nxt
+            head_e, x, rest_e = v[:i], v[i], v[i + 1:m]
+            head_o, y, rest_o = v[m:j], v[j], v[j + 1:]
+            pe, po = 0, j - m
+            for t in range(slice_hi - sum(v[m:]) + 1):
+                ze, zo = x - t, y + t
+                while pe < i and head_e[pe] > ze:
+                    pe += 1
+                while po and head_o[po - 1] < zo:
+                    po -= 1
+                if pe < i and head_e[pe] == ze or po and head_o[po - 1] == zo:
+                    continue
+                key = (head_e[:pe] + (ze,) + head_e[pe:] + rest_e
+                       + head_o[:po] + (zo,) + head_o[po:] + rest_o)
+                nxt[key] = get(key, 0) + (-c if (t + i - pe + j - m - po) & 1 else c)
+        num = {v: c for v, c in nxt.items() if c}
     tail = alternate_tail(m, n, num, slice_lo, slice_hi)
     return tail if scale == 1 else tail.scale(Fraction(1, scale))
 

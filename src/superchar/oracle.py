@@ -6,6 +6,8 @@ Every result of the closed formula engines is checked against this expansion.
 Inside a window the sum is finite: a proved per-value cutoff (the block-sum
 bound of `oracle_char`) drops exactly the relocations whose Kac characters
 cannot reach the window, so one enumeration gives the exact windowed result.
+Each relocation goes straight to its Kac coordinate chi + rho, read off its
+values and the core symbols without building its image diagram or weight.
 The signed Kac characters are summed in one Kac sum, which runs the
 alternation tail the engine and the lattice route share once on the merged
 Kac coordinates.  This route takes its nesting order from the caps
@@ -34,7 +36,7 @@ from .charring import (
     kac_sum,
 )
 from .latticegen import enumerate_lattice, polyhedron_of_forest
-from .weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram, position_exponents, weight_from_diagram
+from .weights import CROSS, GREATER, LESS, WeightDiagram, position_exponents
 
 
 @dataclass(frozen=True)
@@ -118,23 +120,29 @@ def _suggested_cutoff(f: WeightDiagram, window: Window) -> int:
     return min(value_sum_lo - (sum(crosses) - min(crosses)) - 1, min(crosses))
 
 
-def _window_reachable(chi: HighestWeight, window: Window) -> bool:
-    """Exact even-block-sum test: can any term of ch K(chi) fall in the box?
-    The odd-block sum needs no test here: kac_sum's tail clips its slice to
-    the window's odd-degree range."""
-    lam_sum = sum(chi.lam)
+def _window_reachable(omega: tuple[int, ...], window: Window) -> bool:
+    """Exact even-block-sum test: can any term of the Kac character with
+    Kac coordinate omega (A then -B, chi + rho) fall in the box?  Its
+    highest weight has even-block sum sum(A) + m(m-1)/2.  The odd-block sum
+    needs no test here: kac_sum's tail clips its slice to the window's
+    odd-degree range."""
+    m, n = len(window.eps), len(window.delta)
+    lam_sum = sum(omega[:m]) + m * (m - 1) // 2
     # odd factor lowers the even-block sum by at most m*n
     return (sum(lo for lo, _ in window.eps) <= lam_sum
-            <= sum(hi for _, hi in window.eps) + chi.m * chi.n)
+            <= sum(hi for _, hi in window.eps) + m * n)
 
 
 def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
     """Signed sum of Kac characters over all relocations with values at or
     above the cutoff B = _suggested_cutoff(f, window), restricted to the
-    window.  Relocation signs are accumulated per image weight (equal images
-    merge, cancelling ones drop), and the signed Kac characters are summed
-    in one kac_sum call, which runs the shared alternation tail once on the
-    merged Kac coordinates.
+    window.  Each relocation's Kac coordinate is read off directly: A is
+    its values and the '>' positions, descending, B its values and the '<'
+    positions, ascending, and the coordinate is A then -B.  Relocation
+    signs are accumulated per coordinate (equal images merge, cancelling
+    ones drop), and the signed Kac characters are summed in one kac_sum
+    call, which runs the shared alternation tail once on the merged Kac
+    coordinates.
 
     The cutoff is exact.  B is min(value_sum_lo - (sum(crosses) -
     min(crosses)) - 1, min(crosses)), where value_sum_lo is the lowest value
@@ -149,11 +157,14 @@ def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
     crosses has one relocation, the empty one.
     """
     cutoff = _suggested_cutoff(f, window) if f.crosses else 0
-    coeffs: dict[HighestWeight, int] = {}
+    greater, less = f.greater_positions, f.less_positions
+    coeffs: dict[tuple[int, ...], int] = {}
     for wm in enumerate_weight_maps(f, cutoff):
-        chi = weight_from_diagram(wm.image_diagram(f))
-        if _window_reachable(chi, window):
-            _acc(coeffs, chi, epsilon_sign(f, wm))
+        values = tuple(wm.phi.values())
+        omega = (tuple(sorted(values + greater, reverse=True))
+                 + tuple(-b for b in sorted(values + less)))
+        if _window_reachable(omega, window):
+            _acc(coeffs, omega, epsilon_sign(f, wm))
     return kac_sum(f.m, f.n, coeffs, window)
 
 

@@ -208,21 +208,3 @@ def diagram_of_weight(chi: HighestWeight) -> WeightDiagram:
 def weight_from_diagram(f: WeightDiagram) -> HighestWeight:
     return weight_from_ab(ab_from_diagram(f))
 
-
-def core_strip(f: WeightDiagram) -> tuple[WeightDiagram, dict[int, int]]:
-    """Delete all '<' and '>' symbols, closing up the gaps they leave.
-
-    A surviving position a moves to a - n(a), where n(a) counts core symbols
-    strictly to its left.  Returns the stripped diagram and the map
-    cross position -> new position.
-    """
-    cores = sorted(f.core_positions)
-
-    def n_left(a: int) -> int:
-        # cores is short; linear scan is fine
-        return sum(1 for c in cores if c < a)
-
-    reindex = {a: a - n_left(a) for a in f.crosses}
-    stripped = WeightDiagram({reindex[a]: CROSS for a in f.crosses})
-    return stripped, reindex
-

@@ -5,10 +5,14 @@ cap ends come from a stack matcher, extension counts from filtering raw
 permutations, Schur weights from semistandard tableaux or a ratio of
 alternants, lattice points from plain nested loops, the alternation tail from
 full-orbit expansion and exact division instead of folding and Schur-block
-assembly, Kac characters from whole even-block characters times the fully
-expanded odd factor, theta from one built subgraph per edge subset instead of
-an edge-mask walk, the orthogonality product by pairing every row with every
-column, the proj output from one swapped diagram per subset of crosses.
+assembly, or from one binomial of the odd factor at a time instead of Pieri
+steps, the formula engine with its geometric series expanded in full instead
+of folded after each root, Kac characters from whole even-block characters
+times the fully expanded odd factor, theta from one built subgraph per edge
+subset instead of an edge-mask walk, the orthogonality product by pairing
+every row with every column, the proj output from one swapped diagram per
+subset of crosses.  core_strip has no caller in the library and lives here
+for the tests that use it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,11 @@ from superchar.capgraph import ThetaPoly, _component_min_vertex, linear_extensio
 from superchar.caps import _swap, cap_diagram, projective_family
 from superchar.charring import (
     CharPoly,
+    _acc,
+    _fold,
+    _numerator,
     _schur_block,
+    _sort_desc_signed,
     alt_J,
     divide_exact,
     even_positive_roots,
@@ -244,6 +252,79 @@ def tail_by_division(m, n, num, slice_lo, slice_hi):
         t = divide_exact(t, alpha)
     r = rho(m, n)
     return shift(t, tuple(-x for x in r.eps_part + r.delta_part))
+
+
+def tail_by_binomials(m, n, num, slice_lo, slice_hi):
+    """The alternation tail with the odd factor applied one binomial
+    (1 + e^{-(eps_i - delta_j)}) at a time, odd slot outer and even slot
+    inner.  With k binomials left a term of odd degree d ends in [d, d + k],
+    so the untaken branch is kept only while d + k >= slice_lo and the step
+    only while d < slice_hi.  The even block is folded after each odd column
+    (the binomials left are symmetric in it), both blocks after the last;
+    each folded term e^omega is then expanded as the whole even-part
+    character of highest weight omega - rho."""
+    r = rho(m, n)
+    left = m * n
+    terms = {v: c for v, c in _fold(m, num.items()).items()
+             if slice_lo - left <= sum(v[m:]) <= slice_hi}
+    for j in range(m, m + n):
+        for i in range(m):
+            left -= 1
+            nxt = {}
+            for v, c in terms.items():
+                d = sum(v[m:])
+                if d + left >= slice_lo:
+                    _acc(nxt, v, c)
+                if d < slice_hi:
+                    w = list(v)
+                    w[i] -= 1
+                    w[j] += 1
+                    _acc(nxt, tuple(w), c)
+            terms = nxt
+        even = {}
+        for v, c in terms.items():
+            sign, eps = _sort_desc_signed(v[:m])
+            if sign:
+                _acc(even, eps + v[m:], sign * c)
+        terms = even
+    out = {}
+    for v, c in _fold(m, terms.items()).items():
+        lam = tuple(a - b for a, b in zip(v[:m], r.eps_part))
+        mu = tuple(a - b for a, b in zip(v[m:], r.delta_part))
+        for w, cw in weyl0_character(HighestWeight(m, n, lam, mu)).terms.items():
+            _acc(out, w, c * cw)
+    return CharPoly(m, n, out)
+
+
+def irreducible_char_unfolded(chi: HighestWeight, variant: str = "classic") -> CharPoly:
+    """The formula engine without its folds: every atypical root's geometric
+    series expanded in full on theta's numerator, in rational arithmetic,
+    each series cut where it leaves the odd-degree slice, then the
+    binomial-by-binomial tail (tail_by_binomials)."""
+    m = chi.m
+    num, alphas, slice_lo, slice_hi = _numerator(chi, variant)
+    for alpha in alphas:
+        nxt = {}
+        for v, c in num.items():
+            vec = list(v)
+            for _ in range(slice_hi - sum(v[m:]) + 1):
+                _acc(nxt, tuple(vec), c)
+                c = -c
+                vec = [x - a for x, a in zip(vec, alpha)]
+        num = nxt
+    return tail_by_binomials(m, chi.n, num, slice_lo, slice_hi)
+
+
+def core_strip(f: WeightDiagram) -> tuple[WeightDiagram, dict[int, int]]:
+    """Delete all '<' and '>' symbols, closing up the gaps they leave.
+
+    A surviving position a moves to a - n(a), where n(a) counts core symbols
+    strictly to its left.  Returns the stripped diagram and the map
+    cross position -> new position.
+    """
+    cores = f.core_positions
+    reindex = {a: a - sum(1 for c in cores if c < a) for a in f.crosses}
+    return WeightDiagram({p: CROSS for p in reindex.values()}), reindex
 
 
 def orthogonality_dense(window, m, n, r_max):

@@ -226,6 +226,11 @@ def _random_kac_coeffs(rng, m, n):
     return {chi: rng.choice((-2, -1, 1, 3)) for chi in chosen}
 
 
+def _kac_coordinates(coeffs):
+    """kac_sum's input: each highest weight chi as its Kac coordinate chi + rho."""
+    return {chi_plus_rho_exponent(chi): c for chi, c in coeffs.items()}
+
+
 KAC_SUM_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)]
 
 
@@ -247,7 +252,7 @@ def test_kac_sum_window_matches_restricted_sum(m, n):
         expected = full.restrict(window)
         hits += not expected.is_zero()
         misses += expected.is_zero()
-        assert kac_sum(m, n, coeffs, window) == expected, (coeffs, window)
+        assert kac_sum(m, n, _kac_coordinates(coeffs), window) == expected, (coeffs, window)
     assert hits and misses
 
 
@@ -261,7 +266,7 @@ def test_kac_sum_matches_product_route(m, n):
         expected = CharPoly.zero(m, n)
         for chi, c in coeffs.items():
             expected = expected + (weyl0_character(chi) * q_odd_product(m, n)).scale(c)
-        assert kac_sum(m, n, coeffs) == expected, coeffs
+        assert kac_sum(m, n, _kac_coordinates(coeffs)) == expected, coeffs
 
 
 def test_ev_map_gl33():

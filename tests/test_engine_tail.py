@@ -1,16 +1,20 @@
 """The shared alternation tail and the exact truncation witness of the
 formula engine."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superchar import charring
 from superchar.charring import (
     TruncationInstability,
     Window,
     _numerator,
+    _strips,
     alternate_tail,
     auto_depth,
     irreducible_char,
@@ -19,7 +23,7 @@ from superchar.charring import (
 from superchar.oracle import oracle_char, oracle_char_lattice
 from superchar.weights import HighestWeight, diagram_of_weight, rho
 
-from helpers import dominant_weights, tail_by_division
+from helpers import dominant_weights, irreducible_char_unfolded, tail_by_binomials, tail_by_division
 
 SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)]
 
@@ -91,6 +95,69 @@ def test_windowed_tail_is_the_restricted_tail(m, n):
             assert alternate_tail(m, n, num, lo, hi, window) == expected, (num, window)
     assert hits and misses
     assert inside or m * n < 2
+
+
+@st.composite
+def _tail_cases(draw):
+    """A numerator with int or Fraction coefficients, an odd-degree slice
+    and, half the time, a window."""
+    m, n = draw(st.sampled_from([shape for shape in SHAPES if max(shape) <= 3]))
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    if draw(st.booleans()):
+        coeff = st.builds(Fraction, coeff, st.sampled_from([1, 2, 3, 6]))
+    num = draw(st.dictionaries(st.tuples(*[st.integers(-3, 3)] * (m + n)), coeff,
+                               min_size=1, max_size=6))
+    lo = draw(st.integers(-3 * n, 2 * n))
+    hi = lo + draw(st.integers(0, m * n))
+    window = None
+    if draw(st.booleans()):
+        box = [(a, a + draw(st.integers(0, 5)))
+               for a in draw(st.lists(st.integers(-5, 3), min_size=m + n, max_size=m + n))]
+        window = Window(tuple(box[:m]), tuple(box[m:]))
+    return m, n, num, lo, hi, window
+
+
+@settings(max_examples=80)
+@given(_tail_cases())
+def test_alternate_tail_matches_binomial_reference(case):
+    m, n, num, lo, hi, window = case
+    expected = tail_by_binomials(m, n, num, lo, hi)
+    if window is not None:
+        expected = expected.restrict(window)
+    assert alternate_tail(m, n, num, lo, hi, window) == expected
+
+
+_ENGINE_WEIGHTS = [chi for m in (1, 2, 3) for n in (1, 2, 3)
+                   for chi in dominant_weights(m, n, -2, 2)]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_ENGINE_WEIGHTS), st.sampled_from(["classic", "reduced"]))
+def test_irreducible_char_matches_unfolded_series(chi, variant):
+    try:
+        expected = irreducible_char_unfolded(chi, variant)
+    except ValueError:
+        # the reduced variant does not cover this weight
+        with pytest.raises(ValueError):
+            irreducible_char(chi, variant)
+        return
+    assert irreducible_char(chi, variant) == expected
+
+
+def test_strips_match_all_subsets():
+    # strictly decreasing blocks of length 1-5 from [-3, 3]: runs of
+    # consecutive entries, gaps and negative entries all occur
+    blocks = [block for size in range(1, 6)
+              for block in itertools.combinations(range(3, -4, -1), size)]
+    for block in blocks:
+        expected = [[] for _ in range(len(block) + 1)]
+        for subset in itertools.product((0, 1), repeat=len(block)):
+            low = tuple(x - s for x, s in zip(block, subset))
+            if len(set(low)) == len(low):
+                # lowering never reorders: a survivor is strictly decreasing
+                assert list(low) == sorted(low, reverse=True), (block, subset)
+                expected[sum(subset)].append(low)
+        assert [sorted(strip) for strip in _strips(block)] == list(map(sorted, expected)), block
 
 
 def _series_bound(chi, variant):

@@ -32,13 +32,12 @@ from superchar.weights import (
     LESS,
     HighestWeight,
     WeightDiagram,
-    core_strip,
     diagram_of_weight,
     position_exponents,
     weight_from_diagram,
 )
 
-from helpers import dominant_weights, orthogonality_dense, random_diagram
+from helpers import core_strip, dominant_weights, orthogonality_dense, random_diagram
 
 
 def crosses_only(*positions):
@@ -188,8 +187,8 @@ def test_relocations_below_cutoff_bound_miss_the_window():
         for wm in enumerate_weight_maps(f, bound - 3):
             if min(wm.phi.values()) < bound:
                 below += 1
-                assert not _window_reachable(
-                    weight_from_diagram(wm.image_diagram(f)), window), (chi, wm)
+                omega = chi_plus_rho_exponent(weight_from_diagram(wm.image_diagram(f)))
+                assert not _window_reachable(omega, window), (chi, wm)
     assert below  # the enumeration at bound - 3 does reach below the bound
 
 

@@ -16,7 +16,6 @@ from superchar.weights import (
     ab_from_diagram,
     ab_sets,
     build_diagram,
-    core_strip,
     diagram_of_weight,
     position_exponents,
     rho,
@@ -24,7 +23,7 @@ from superchar.weights import (
     weight_from_diagram,
 )
 
-from helpers import dominant_weights, random_diagram
+from helpers import core_strip, dominant_weights, random_diagram
 
 
 def test_rho_examples():
