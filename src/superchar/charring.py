@@ -4,27 +4,29 @@ character engines.
 Exponent vectors live in Z^(m+n): the first m slots are even (x = e^eps)
 coordinates, the last n odd (y = e^delta).  The alternation J, the normalized
 Weyl-type denominator, Kac characters, and the closed vertex-cone formula are
-all computed with exact integer/rational arithmetic.  Truncated geometric
-series stand in for the odd denominator factors; every step of such a series
-raises the odd degree by one, so a series ends exactly where it leaves the
-odd-degree slice the character needs, and a truncation depth too small to
-get there is refused with the exact depth that suffices.
+all computed with exact integer arithmetic: the only rationals, theta's
+coefficients, are scaled to integers by the formula engine and divided back
+out exactly, and the ring keeps the coefficients it is given.  Truncated
+geometric series stand in for the odd denominator factors; every step of such
+a series raises the odd degree by one, so a series ends exactly where it
+leaves the odd-degree slice the character needs, and a truncation depth too
+small to get there is refused with the exact depth that suffices.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import lcm
 from operator import add, sub
 
-from .capgraph import gamma, theta, theta_tilde
+from .capgraph import gamma, reduced_formula_supported, special_edges, theta, theta_tilde
 from .caps import cap_diagram, segment_data
 from .weights import (
     HighestWeight,
+    InvariantError,
     WeightDiagram,
     ab_from_diagram,
     ab_sets,
@@ -52,10 +54,10 @@ class TruncationInstability(RuntimeError):
 
 
 class CharPoly:
-    """Laurent polynomial over Q in m even and n odd variables.
+    """Laurent polynomial in m even and n odd variables.
 
-    Terms map exponent vectors to nonzero coefficients (int or Fraction);
-    the zero polynomial has no terms.
+    Terms map exponent vectors to nonzero coefficients, kept as given (the
+    library's characters have ints); the zero polynomial has no terms.
     """
 
     __slots__ = ("m", "n", "terms")
@@ -63,7 +65,7 @@ class CharPoly:
     def __init__(self, m: int, n: int, terms: dict[Vec, object] | None = None):
         self.m = m
         self.n = n
-        self.terms = {v: _tidy(c) for v, c in (terms or {}).items() if c != 0}
+        self.terms = {v: c for v, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls, m: int, n: int) -> "CharPoly":
@@ -129,13 +131,6 @@ class CharPoly:
         body = ", ".join(f"{v}: {c}" for v, c in self.sorted_terms()[:8])
         tail = ", ..." if len(self.terms) > 8 else ""
         return f"CharPoly(m={self.m}, n={self.n}, {{{body}{tail}}})"
-
-
-def _tidy(c):
-    """Collapse integral Fractions to plain ints."""
-    if type(c) is Fraction and c.denominator == 1:
-        return int(c)
-    return c
 
 
 def _acc(d: dict, key, val) -> None:
@@ -473,8 +468,9 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
     Laurent Schur blocks of highest weight omega - rho.  A window is a
     product of per-slot intervals, so each block is expanded inside its half
     of the window only (_schur_block), which equals the whole expansion
-    restricted to the window.  Coefficients may be ints or Fractions; the
-    formula engine scales its numerator to ints before calling (_engine).
+    restricted to the window.  Coefficients pass through plain arithmetic,
+    so int numerators give int results; the formula engine scales theta's
+    rationals to ints before calling and divides back after (_engine).
 
     A window also clips the slice, exactly: the odd block of omega - rho is
     homogeneous of degree deg(omega) - sum(rho_delta), deg the odd degree,
@@ -581,14 +577,26 @@ def kac_char_window(f: WeightDiagram, window: Window) -> CharPoly:
 # irreducible characters
 
 def auto_depth(chi: HighestWeight) -> int:
-    """Default series truncation: the spread from the largest shifted label
-    down to the smallest cross, plus m*n plus slack.  It has to reach the
-    exact series bound of irreducible_char, which the tests check for both
-    variants on every dominant weight with entries in [-3, 3] up to gl(3|3)."""
+    """The depth an 'auto' run reports: m*n + max(spread + 5, nu), spread
+    the distance from the largest shifted label down to the smallest cross,
+    nu the total distance of the crosses to their segment maxima.
+
+    It is never below irreducible_char's series bound, the slice top (the
+    odd degree of chi + rho, plus m*n) minus the numerator's lowest odd
+    degree.  A term t^e of theta sits at chi + rho + shift + sum_i e_i
+    alpha_i, and each alpha_i = eps - delta has odd degree -1.  Classic: the
+    exponents are <= 0 and the constant term is 1 (only the empty subgraph
+    keeps every vertex at its component minimum; the alpha_i are
+    independent, so nothing cancels it), so the bound is exactly m*n.
+    Reduced: the shift sum_i nu_i alpha_i lowers the odd degree by
+    nu = sum_i nu_i, and theta-tilde's exponents are <= 0 and only raise
+    it, so the bound is at most m*n + nu.
+    """
     f = diagram_of_weight(chi)
     crosses = f.crosses
     spread = (max(ab_from_diagram(f).A) - min(crosses)) if crosses else 0
-    return spread + chi.m * chi.n + 5
+    nu = sum(top - c for c, top in segment_data(f).tilde_c.items())
+    return chi.m * chi.n + max(spread + 5, nu)
 
 
 def irreducible_char(chi: HighestWeight, variant: str = "classic",
@@ -604,13 +612,14 @@ def irreducible_char(chi: HighestWeight, variant: str = "classic",
     series is cut short while its next term still lies in the slice.  At or
     above it the result equals the untruncated one; below it
     TruncationInstability is raised with the bound as suggested_depth.
-    auto_depth never falls below it.  A depth not 'auto' or an int raises.
+    auto_depth is proved never to fall below it, so 'auto' runs without the
+    comparison.  A depth not 'auto' or an int raises.
     """
     if variant not in ("classic", "reduced"):
         raise ValueError(f"unknown variant {variant!r}")
     if depth == "auto":
-        depth = auto_depth(chi)
-    elif not isinstance(depth, int) or isinstance(depth, bool):
+        return _engine(chi, variant, None)
+    if not isinstance(depth, int) or isinstance(depth, bool):
         raise ValueError(f"depth must be 'auto' or an int, not {depth!r}")
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -618,14 +627,13 @@ def irreducible_char(chi: HighestWeight, variant: str = "classic",
 
 
 def engine_summand_count(chi: HighestWeight, variant: str = "classic") -> int:
-    """Number of subgraph summands the chosen engine touches."""
-    from .capgraph import reduced_subgraphs, subgraphs
-
+    """Number of subgraph summands the chosen engine touches: one per subset
+    of the nesting forest's edges (classic) or of its special edges (reduced)."""
     f = diagram_of_weight(chi)
     forest = gamma(cap_diagram(f))
     if variant == "classic":
-        return len(subgraphs(forest))
-    return len(reduced_subgraphs(forest, segment_data(f)))
+        return 1 << len(forest.edges)
+    return 1 << len(special_edges(forest, segment_data(f)))
 
 
 def _numerator(chi: HighestWeight, variant: str
@@ -644,8 +652,6 @@ def _numerator(chi: HighestWeight, variant: str
         shift_coeffs = (0,) * r
         global_sign = 1
     else:
-        from .capgraph import reduced_formula_supported
-
         sd = segment_data(f)
         if not reduced_formula_supported(forest, sd):
             raise ValueError(
@@ -671,10 +677,12 @@ def _numerator(chi: HighestWeight, variant: str
     return num, alphas, base_delta, base_delta + m * n
 
 
-def _engine(chi: HighestWeight, variant: str, depth: int) -> CharPoly:
+def _engine(chi: HighestWeight, variant: str, depth: int | None) -> CharPoly:
+    """irreducible_char's work.  depth None is 'auto', which is never below
+    the series bound (auto_depth), so it is not compared."""
     m, n = chi.m, chi.n
     num, alphas, slice_lo, slice_hi = _numerator(chi, variant)
-    if alphas:
+    if alphas and depth is not None:
         bound = slice_hi - min(sum(v[m:]) for v in num)
         if depth < bound:
             raise TruncationInstability(
@@ -682,8 +690,10 @@ def _engine(chi: HighestWeight, variant: str, depth: int) -> CharPoly:
                 f"odd-degree slice",
                 suggested_depth=bound)
 
-    # theta's coefficients are rationals: scale them to integers once, run
-    # the series and the tail on ints, and divide back once at the end.
+    # theta's coefficients are the only rationals: scale them to integers
+    # by the lcm of their denominators, run the series and the tail on ints,
+    # and divide the scale out of the result.  A character has integer
+    # multiplicities, so a remainder is a bug (InvariantError).
     # Each step t -> t + 1 (vec -= alpha, alpha = eps_i - delta_j) raises the
     # odd degree by one, so a series runs from a term's odd degree up to
     # slice_hi.
@@ -728,7 +738,15 @@ def _engine(chi: HighestWeight, variant: str, depth: int) -> CharPoly:
                 nxt[key] = get(key, 0) + (-c if (t + i - pe + j - m - po) & 1 else c)
         num = {v: c for v, c in nxt.items() if c}
     tail = alternate_tail(m, n, num, slice_lo, slice_hi)
-    return tail if scale == 1 else tail.scale(Fraction(1, scale))
+    if scale != 1:
+        terms = tail.terms
+        for v, c in terms.items():
+            q, rem = divmod(c, scale)
+            if rem:
+                raise InvariantError(
+                    f"monomial {v} has the non-integer coefficient {c}/{scale}")
+            terms[v] = q
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -775,10 +793,9 @@ def supersymmetry_check(p: CharPoly) -> bool:
 def dimension_eval(p: CharPoly) -> int:
     """Sum of coefficients; characters must give a (positive) integer."""
     total = p.eval_at_ones()
-    frac = Fraction(total)
-    if frac.denominator != 1:
-        raise ArithmeticError(f"non-integer coefficient sum {frac}")
-    return int(frac)
+    if total.denominator != 1:
+        raise ArithmeticError(f"non-integer coefficient sum {total}")
+    return int(total)
 
 
 def highest_term_ok(p: CharPoly, chi: HighestWeight) -> bool:

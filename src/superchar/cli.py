@@ -12,7 +12,6 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .capgraph import gamma, theta, theta_tilde
 from .caps import cap_diagram, family_pairs, render_caps, segment_data
@@ -90,13 +89,9 @@ def _weight_from_args(args) -> HighestWeight:
         raise InputError(str(exc))
 
 
-def _coeff_str(c) -> str:
-    return str(Fraction(c))
-
-
 def _char_json_terms(p: CharPoly) -> list[dict]:
     m = p.m
-    return [{"eps": list(v[:m]), "delta": list(v[m:]), "coeff": _coeff_str(c)}
+    return [{"eps": list(v[:m]), "delta": list(v[m:]), "coeff": str(c)}
             for v, c in p.sorted_terms()]
 
 
@@ -113,56 +108,43 @@ def _char_text(p: CharPoly) -> str:
         for j, e in enumerate(v[m:]):
             if e:
                 mono.append(f"y{j + 1}^{e}")
-        body = " ".join(mono) if mono else "1"
-        coeff = Fraction(c)
-        if coeff == 1 and mono:
-            chunks.append(body)
-        elif coeff == -1 and mono:
-            chunks.append(f"-{body}")
-        elif not mono:
-            chunks.append(str(coeff))
-        else:
-            chunks.append(f"{coeff} {body}")
+        # a coefficient of +-1 is written as a sign, except on the constant
+        prefix = {1: "", -1: "-"}.get(c, f"{c} ") if mono else str(c)
+        chunks.append(prefix + " ".join(mono))
     return " + ".join(chunks).replace("+ -", "- ")
 
 
 def _theta_json(th) -> dict:
     return {
         "variables": th.r,
-        "terms": [{"exponents": list(e), "coeff": _coeff_str(c)}
+        "terms": [{"exponents": list(e), "coeff": str(c)}
                   for e, c in th.sorted_terms()],
     }
 
 
-def _frac_latex(c: Fraction) -> str:
-    c = Fraction(c)
+def _frac_latex(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     sign = "-" if c < 0 else ""
     return f"{sign}\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
-def _theta_numerator_latex(th, shift=None) -> str:
+def _theta_numerator_latex(th) -> str:
     """theta(-e^{alpha}) expanded in the e^{-alpha_i} basis."""
     parts = []
     for exps, coeff in th.sorted_terms():
-        c = Fraction(coeff) * (-1 if sum(exps) % 2 else 1)
+        c = -coeff if sum(exps) % 2 else coeff
         factors = []
         for i, e in enumerate(exps):
             if e:
                 k = "-" if e == -1 else ("" if e == 1 else str(e))
                 factors.append(f"e^{{{k}\\alpha_{{{i + 1}}}}}")
         body = "".join(factors)
-        if not body:
-            term = _frac_latex(c)
-        elif abs(c) == 1:
+        if body and abs(c) == 1:
             term = ("-" if c < 0 else "") + body
         else:
             term = _frac_latex(c) + body
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
+        parts.append("+" + term if parts and not term.startswith("-") else term)
     return "".join(parts) if parts else "0"
 
 
@@ -469,10 +451,7 @@ def cmd_verify(args) -> int:
     suite_args = {name: (memo,) for name in ("kac", "oracle", "variants", "supersymmetry")}
     for name in names:
         start = time.monotonic()
-        try:
-            result = SUITES[name](*suite_args.get(name, ()))
-        except TruncationInstability as exc:
-            result = {"ok": False, "failure": str(exc)}
+        result = SUITES[name](*suite_args.get(name, ()))
         result["seconds"] = round(time.monotonic() - start, 3)
         report[name] = result
         all_ok = all_ok and result["ok"]

@@ -24,6 +24,7 @@ conventions.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from .capgraph import gamma
@@ -94,16 +95,15 @@ def enumerate_weight_maps(f: WeightDiagram, cutoff: int) -> list[WeightMap]:
 def epsilon_sign(f: WeightDiagram, wm: WeightMap) -> int:
     """Sign of a relocation: parity of the total displacement, discounting the
     core symbols jumped over.  Invariant under core stripping."""
-    crosses = set(f.crosses)
-    if set(wm.phi) != crosses:
+    if set(wm.phi) != set(f.crosses):
         raise ValueError("map must be defined exactly on the crosses")
-    cores = sorted(f.core_positions)
+    cores = f.core_positions  # ascending
     total = 0
     for a, b in wm.phi.items():
         if b > a:
             raise ValueError(f"relocation {a} -> {b} goes right")
-        between = sum(1 for c in cores if b < c < a)
-        total += a - b - between
+        # the cores in (b, a], which is (b, a): a is a cross
+        total += a - b - (bisect(cores, a) - bisect(cores, b))
     return -1 if total % 2 else 1
 
 

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 import superchar
 import superchar.caps
+import superchar.charring
 import superchar.cli as cli
 import superchar.oracle
 import superchar.weights
+from superchar.capgraph import ThetaPoly
 from superchar.weights import (
     CROSS,
     GREATER,
@@ -288,6 +290,34 @@ def test_instability_exits_3(capsys):
     assert code == 3
     assert err == ("error: depth 0 cuts a geometric series short inside the "
                    "odd-degree slice (retry with --depth 4)\n")
+
+
+def test_reduced_variant_runs_at_its_default_depth(capsys):
+    # gl(5|5) trivial: the reduced series bound m*n + nu = 25 + 10 is above
+    # m*n + spread + 5 = 34, so the default depth is 35
+    code, out, err = run(capsys, "char", "--m", "5", "--n", "5", "--lambda", "0,0,0,0,0",
+                         "--mu", "0,0,0,0,0", "--variant", "reduced")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["1", "dimension: 1"]
+    code, out, err = run(capsys, "char", "--ab", "4,3,2,1,0:0,1,2,3,4",
+                         "--variant", "reduced", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["depth"], payload["dimension"]) == (35, 1)
+    assert payload["monomials"] == [{"eps": [4] * 5, "delta": [-4] * 5, "coeff": "1"}]
+
+
+def test_non_integral_character_exits_4(capsys, monkeypatch):
+    # theta scaled by 1/3 gives the engine a character with coefficient 1/3
+    # at the highest weight
+    original = superchar.charring.theta
+    monkeypatch.setattr(superchar.charring, "theta", lambda forest: ThetaPoly(
+        forest.r, {e: c / 3 for e, c in original(forest).terms.items()}))
+    code, out, err = run(capsys, "char", "--m", "2", "--n", "2",
+                         "--lambda", "1,1", "--mu", "-1,-1")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: invariant violated: monomial (")
+    assert err.count("\n") == 1
 
 
 def test_verify_single_suite(capsys):

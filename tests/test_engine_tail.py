@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superchar import charring
+from superchar.capgraph import ThetaPoly
 from superchar.charring import (
     TruncationInstability,
     Window,
@@ -21,7 +22,7 @@ from superchar.charring import (
     kac_char,
 )
 from superchar.oracle import oracle_char, oracle_char_lattice
-from superchar.weights import HighestWeight, diagram_of_weight, rho
+from superchar.weights import HighestWeight, InvariantError, diagram_of_weight, rho
 
 from helpers import dominant_weights, irreducible_char_unfolded, tail_by_binomials, tail_by_division
 
@@ -141,7 +142,20 @@ def test_irreducible_char_matches_unfolded_series(chi, variant):
         with pytest.raises(ValueError):
             irreducible_char(chi, variant)
         return
-    assert irreducible_char(chi, variant) == expected
+    got = irreducible_char(chi, variant)
+    assert got == expected
+    assert all(type(c) is int for c in got.terms.values())
+
+
+def test_non_integral_character_raises(monkeypatch):
+    # theta scaled by 1/3: the engine's result is the character over 3, whose
+    # highest-weight coefficient is 1/3
+    original = charring.theta
+    monkeypatch.setattr(charring, "theta", lambda forest: ThetaPoly(
+        forest.r, {e: c / 3 for e, c in original(forest).terms.items()}))
+    chi = HighestWeight(2, 2, (1, 1), (-1, -1))
+    with pytest.raises(InvariantError, match=r"monomial \(.*\) has the non-integer coefficient"):
+        irreducible_char(chi)
 
 
 def test_strips_match_all_subsets():
@@ -171,15 +185,20 @@ def _series_bound(chi, variant):
 
 
 def test_series_bound_within_auto_depth():
+    # auto_depth's proof: the classic bound is m*n, the reduced one at most
+    # m*n + nu.  From gl(5|5) trivial up, m*n + nu is the larger term.
+    weights = [chi for m in (1, 2, 3) for n in (1, 2, 3) for chi in dominant_weights(m, n, -3, 3)]
+    weights += [HighestWeight(k, k, (0,) * k, (0,) * k) for k in range(4, 8)]
     pairs = 0
-    for m, n in [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]:
-        for chi in dominant_weights(m, n, -3, 3):
-            for variant in ("classic", "reduced"):
-                bound = _series_bound(chi, variant)
-                if bound is None:
-                    continue
-                assert bound <= auto_depth(chi), (chi, variant, bound)
-                pairs += 1
+    for chi in weights:
+        for variant in ("classic", "reduced"):
+            bound = _series_bound(chi, variant)
+            if bound is None:
+                continue
+            if variant == "classic":
+                assert bound == chi.m * chi.n, chi
+            assert bound <= auto_depth(chi), (chi, variant, bound)
+            pairs += 1
     assert pairs > 20000
 
 
