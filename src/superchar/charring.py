@@ -4,13 +4,15 @@ character engines.
 Exponent vectors live in Z^(m+n): the first m slots are even (x = e^eps)
 coordinates, the last n odd (y = e^delta).  The alternation J, the normalized
 Weyl-type denominator, Kac characters, and the closed vertex-cone formula are
-all computed with exact integer arithmetic: the only rationals, theta's
-coefficients, are scaled to integers by the formula engine and divided back
-out exactly, and the ring keeps the coefficients it is given.  Truncated
-geometric series stand in for the odd denominator factors; every step of such
-a series raises the odd degree by one, so a series ends exactly where it
-leaves the odd-degree slice the character needs, and a truncation depth too
-small to get there is refused with the exact depth that suffices.
+all computed with exact integer arithmetic.  The formula engine runs theta's
+numerator through truncated geometric series for the odd denominator factors
+to its Kac coordinates, then sums their Kac characters in the alternation
+tail the oracles share; the only rationals, theta's coefficients, are scaled
+to integers for the series and divided out of each Kac coordinate exactly.
+Every step of a series raises the odd degree by one, so a series ends
+exactly where it leaves the odd-degree slice the character needs, and a
+truncation depth too small to get there is refused with the exact depth
+that suffices.
 """
 
 from __future__ import annotations
@@ -103,21 +105,12 @@ class CharPoly:
     def __neg__(self) -> "CharPoly":
         return self._like({v: -c for v, c in self.terms.items()})
 
-    def scale(self, factor) -> "CharPoly":
-        if factor == 0:
-            return self.zero(self.m, self.n)
-        return self._like({v: c * factor for v, c in self.terms.items()})
-
     def __mul__(self, other: "CharPoly") -> "CharPoly":
         out: dict[Vec, object] = {}
         for v1, c1 in self.terms.items():
             for v2, c2 in other.terms.items():
                 _acc(out, tuple(map(add, v1, v2)), c1 * c2)
         return self._like(out)
-
-    def restrict(self, window: "Window") -> "CharPoly":
-        return self._like({v: c for v, c in self.terms.items()
-                           if window.contains(v)})
 
     def eval_at_ones(self):
         return sum(self.terms.values())
@@ -152,11 +145,6 @@ class Window:
 
     eps: tuple[tuple[int, int], ...]
     delta: tuple[tuple[int, int], ...]
-
-    def contains(self, v: Vec) -> bool:
-        m = len(self.eps)
-        return (all(lo <= x <= hi for x, (lo, hi) in zip(v[:m], self.eps))
-                and all(lo <= x <= hi for x, (lo, hi) in zip(v[m:], self.delta)))
 
     @classmethod
     def hull(cls, p: CharPoly, margin: int = 0) -> "Window":
@@ -431,18 +419,18 @@ def _strips(block: Vec) -> tuple[tuple[Vec, ...], ...]:
     return tuple(map(tuple, out))
 
 
-def alternate_tail(m: int, n: int, num: dict[Vec, object],
+def alternate_tail(m: int, n: int, coords: dict[Vec, object],
                    slice_lo: int, slice_hi: int,
                    window: Window | None = None) -> CharPoly:
-    """J(num * Q) restricted to odd degree [slice_lo, slice_hi], divided by
-    e^rho * prod_even (1 - e^{-alpha}), the numerator of the normalized
-    denominator pair; with a window, only its terms inside the window.
+    """Sum of c * ch K(omega - rho) over Kac coordinates omega (each block
+    strictly decreasing) with coefficients c, restricted to odd degree
+    [slice_lo, slice_hi]: J(coords * Q) divided by e^rho * prod_even
+    (1 - e^{-alpha}), the numerator of the normalized denominator pair; with
+    a window, only its terms inside the window.
 
-    J commutes with multiplying by anything W0-invariant and the slice is
-    W0-stable, so J(num * Q) = J(fold(num) * Q).  Q, the product of the m*n
-    binomials (1 + e^{-(eps_i - delta_j)}), is applied one odd column at a
-    time: column j is prod_i (1 + y_j / x_i) = sum_k y_j^k e_k(1/x), and
-    every term stays folded.
+    Q, the product of the m*n binomials (1 + e^{-(eps_i - delta_j)}), is
+    applied one odd column at a time: column j is prod_i (1 + y_j / x_i) =
+    sum_k y_j^k e_k(1/x), and every term stays folded.
 
     Pieri step.  The columns are symmetric in the even block, so for a
     strictly decreasing even block v, J(x^v e_k(1/x) g) is the sum of
@@ -469,8 +457,7 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
     product of per-slot intervals, so each block is expanded inside its half
     of the window only (_schur_block), which equals the whole expansion
     restricted to the window.  Coefficients pass through plain arithmetic,
-    so int numerators give int results; the formula engine scales theta's
-    rationals to ints before calling and divides back after (_engine).
+    so int coordinates give int results.
 
     A window also clips the slice, exactly: the odd block of omega - rho is
     homogeneous of degree deg(omega) - sum(rho_delta), deg the odd degree,
@@ -484,8 +471,7 @@ def alternate_tail(m: int, n: int, num: dict[Vec, object],
         slice_hi = min(slice_hi, sum(hi for _, hi in window.delta) + shift)
         if slice_lo > slice_hi:
             return CharPoly.zero(m, n)
-    terms = {v: c for v, c in _fold(m, num.items()).items()
-             if slice_lo - m * n <= sum(v[m:]) <= slice_hi}
+    terms = {v: c for v, c in coords.items() if slice_lo - m * n <= sum(v[m:]) <= slice_hi}
     for j in range(n):
         left = m * (n - 1 - j)
         nxt: dict[Vec, object] = {}
@@ -613,17 +599,18 @@ def irreducible_char(chi: HighestWeight, variant: str = "classic",
     above it the result equals the untruncated one; below it
     TruncationInstability is raised with the bound as suggested_depth.
     auto_depth is proved never to fall below it, so 'auto' runs without the
-    comparison.  A depth not 'auto' or an int raises.
+    comparison.  A depth not 'auto' or an int raises.  The character is the
+    sliced Kac sum of kac_coordinates, as the oracles sum theirs.
     """
     if variant not in ("classic", "reduced"):
         raise ValueError(f"unknown variant {variant!r}")
     if depth == "auto":
-        return _engine(chi, variant, None)
-    if not isinstance(depth, int) or isinstance(depth, bool):
+        depth = None
+    elif not isinstance(depth, int) or isinstance(depth, bool):
         raise ValueError(f"depth must be 'auto' or an int, not {depth!r}")
-    if depth < 0:
+    elif depth < 0:
         raise ValueError("depth must be non-negative")
-    return _engine(chi, variant, depth)
+    return alternate_tail(chi.m, chi.n, *kac_coordinates(chi, variant, depth))
 
 
 def engine_summand_count(chi: HighestWeight, variant: str = "classic") -> int:
@@ -636,20 +623,20 @@ def engine_summand_count(chi: HighestWeight, variant: str = "classic") -> int:
     return 1 << len(special_edges(forest, segment_data(f)))
 
 
-def _numerator(chi: HighestWeight, variant: str
+def _numerator(chi: HighestWeight, variant: str, depth: int | None = None
                ) -> tuple[dict[Vec, object], tuple[Vec, ...], int, int]:
     """e^top * theta(-e^alpha) before the geometric series: its terms, the
-    atypical roots whose series follow, and the odd-degree slice."""
+    atypical roots whose series follow, and the odd-degree slice.  A depth
+    below the series bound raises (irreducible_char); None is 'auto'."""
     m, n = chi.m, chi.n
     f = diagram_of_weight(chi)
     vecs = position_exponents(f)
     alphas = tuple(vecs[c] for c in f.crosses)
     forest = gamma(cap_diagram(f))
-    r = len(alphas)
 
     if variant == "classic":
         th = theta(forest)
-        shift_coeffs = (0,) * r
+        shift_coeffs = (0,) * len(alphas)
         global_sign = 1
     else:
         sd = segment_data(f)
@@ -674,26 +661,31 @@ def _numerator(chi: HighestWeight, variant: str
                 vec[k] += e * alphas[i][k]
         sign = -1 if sum(exps) % 2 else 1
         _acc(num, tuple(vec), coeff * sign * global_sign)
-    return num, alphas, base_delta, base_delta + m * n
-
-
-def _engine(chi: HighestWeight, variant: str, depth: int | None) -> CharPoly:
-    """irreducible_char's work.  depth None is 'auto', which is never below
-    the series bound (auto_depth), so it is not compared."""
-    m, n = chi.m, chi.n
-    num, alphas, slice_lo, slice_hi = _numerator(chi, variant)
     if alphas and depth is not None:
-        bound = slice_hi - min(sum(v[m:]) for v in num)
+        bound = base_delta + m * n - min(sum(v[m:]) for v in num)
         if depth < bound:
             raise TruncationInstability(
                 f"depth {depth} cuts a geometric series short inside the "
                 f"odd-degree slice",
                 suggested_depth=bound)
+    return num, alphas, base_delta, base_delta + m * n
 
-    # theta's coefficients are the only rationals: scale them to integers
-    # by the lcm of their denominators, run the series and the tail on ints,
-    # and divide the scale out of the result.  A character has integer
-    # multiplicities, so a remainder is a bug (InvariantError).
+
+def kac_coordinates(chi: HighestWeight, variant: str = "classic",
+                    depth: int | None = None) -> tuple[dict[Vec, int], int, int]:
+    """(coords, slice_lo, slice_hi): ch L(chi) is the sum of
+    c * ch K(omega - rho) over coords {omega: c} on the odd-degree slice.
+    The coordinates are the folded terms of theta's numerator times the
+    series, the vertex cones of the forest's polyhedron (Brion), so the
+    relocations and the lattice points give the same ones.  Only odd degrees
+    >= slice_lo - m*n can reach the slice, as Q adds at most m*n, so only
+    those are kept.  The series runs on theta scaled to ints by the lcm of
+    its denominators; the scale is divided out of each coordinate, and a
+    remainder is a bug (InvariantError).  depth None is 'auto'.
+    """
+    m, n = chi.m, chi.n
+    num, alphas, slice_lo, slice_hi = _numerator(chi, variant, depth)
+
     # Each step t -> t + 1 (vec -= alpha, alpha = eps_i - delta_j) raises the
     # odd degree by one, so a series runs from a term's odd degree up to
     # slice_hi.
@@ -737,16 +729,15 @@ def _engine(chi: HighestWeight, variant: str, depth: int | None) -> CharPoly:
                        + head_o[:po] + (zo,) + head_o[po:] + rest_o)
                 nxt[key] = get(key, 0) + (-c if (t + i - pe + j - m - po) & 1 else c)
         num = {v: c for v, c in nxt.items() if c}
-    tail = alternate_tail(m, n, num, slice_lo, slice_hi)
-    if scale != 1:
-        terms = tail.terms
-        for v, c in terms.items():
+    coords: dict[Vec, int] = {}
+    for v, c in num.items():
+        if sum(v[m:]) >= slice_lo - m * n:
             q, rem = divmod(c, scale)
             if rem:
                 raise InvariantError(
-                    f"monomial {v} has the non-integer coefficient {c}/{scale}")
-            terms[v] = q
-    return tail
+                    f"Kac coordinate {v} has the non-integer coefficient {c}/{scale}")
+            coords[v] = q
+    return coords, slice_lo, slice_hi
 
 
 # ---------------------------------------------------------------------------

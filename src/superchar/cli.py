@@ -19,6 +19,7 @@ from .charring import (
     CharPoly,
     TruncationInstability,
     Window,
+    _numerator,
     alt_J,
     auto_depth,
     chi_plus_rho_exponent,
@@ -174,8 +175,13 @@ def cmd_char(args) -> int:
         depth = "auto" if args.depth == "auto" else int(args.depth)
     except ValueError:
         raise InputError(f"--depth must be 'auto' or an integer, got {args.depth!r}") from None
+    if depth != "auto" and depth < 0:
+        raise InputError("depth must be non-negative")
     try:
-        ch = irreducible_char(chi, variant=args.variant, depth=depth)
+        if args.format == "latex":  # the closed form needs only theta: no series
+            _numerator(chi, args.variant, None if depth == "auto" else depth)
+        else:
+            ch = irreducible_char(chi, variant=args.variant, depth=depth)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

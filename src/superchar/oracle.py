@@ -33,6 +33,7 @@ from .charring import (
     CharPoly,
     Window,
     _acc,
+    _fold,
     alternate_tail,
     kac_sum,
 )
@@ -171,10 +172,12 @@ def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
 def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
     """Second oracle route: sum plain alternants over the lattice points x of
     the nesting forest's order polyhedron (polyhedron_of_forest), signed by
-    the position sums, then divide by the normalized denominator.  The shared
-    tail (alternate_tail) gets the window and expands each Schur block inside
-    it only, so no monomial outside the window is built.  Sign conventions
-    are coded independently of epsilon_sign.
+    the position sums, then divide by the normalized denominator.  J
+    commutes with multiplying by the W0-invariant Q and the slice is
+    W0-stable, so J(sum * Q) = J(fold(sum) * Q): the shared tail
+    (alternate_tail) gets the sum folded onto Kac coordinates, and the
+    window, inside which alone it expands each Schur block.  Sign
+    conventions are coded independently of epsilon_sign.
 
     Each position's exponent vector (position_exponents) is weighted by its
     coordinate: a cross by x, a core symbol by its own position, which gives
@@ -192,16 +195,15 @@ def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
     cutoff = (min(crosses) if crosses else 0) - m * n
 
     sign_f = -1 if sum(crosses) % 2 else 1
-    total: dict[tuple[int, ...], object] = {}
+    terms = []
     for x in enumerate_lattice(polyhedron_of_forest(gamma(cap_diagram(f))), cutoff):
         vec = list(shift)
         for xi, v in zip(x, cross_vecs):
             for t in range(m + n):
                 vec[t] += xi * v[t]
-        if sum(vec[m:]) > slice_hi:
-            continue
-        _acc(total, tuple(vec), sign_f * (-1 if sum(x) % 2 else 1))
-    return alternate_tail(m, n, total, slice_lo, slice_hi, window)
+        if sum(vec[m:]) <= slice_hi:
+            terms.append((tuple(vec), sign_f * (-1 if sum(x) % 2 else 1)))
+    return alternate_tail(m, n, _fold(m, terms), slice_lo, slice_hi, window)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ of folded after each root, Kac characters from whole even-block characters
 times the fully expanded odd factor, theta from one built subgraph per edge
 subset instead of an edge-mask walk, the orthogonality product by pairing
 every row with every column, the proj output from one swapped diagram per
-subset of crosses.  core_strip has no caller in the library and lives here
-for the tests that use it.
+subset of crosses, Kac coordinates from each relocation's image weight or
+from lattice points laid out crosses first and folded.  core_strip, scale
+and restrict have no caller in the library and live here for the tests that
+use them.
 """
 
 from __future__ import annotations
@@ -24,21 +26,45 @@ from functools import lru_cache
 from math import factorial
 
 from superchar import oracle
-from superchar.capgraph import ThetaPoly, _component_min_vertex, linear_extensions, subgraphs
+from superchar.capgraph import ThetaPoly, _component_min_vertex, gamma, linear_extensions, subgraphs
 from superchar.caps import _swap, cap_diagram, projective_family
 from superchar.charring import (
     CharPoly,
+    Window,
     _acc,
     _fold,
     _numerator,
     _schur_block,
     _sort_desc_signed,
     alt_J,
+    chi_plus_rho_exponent,
     divide_exact,
     even_positive_roots,
     q_odd_product,
 )
-from superchar.weights import CROSS, GREATER, LESS, HighestWeight, WeightDiagram, ab_from_diagram, rho
+from superchar.latticegen import enumerate_lattice, polyhedron_of_forest
+from superchar.weights import (
+    CROSS,
+    GREATER,
+    LESS,
+    HighestWeight,
+    WeightDiagram,
+    ab_from_diagram,
+    rho,
+    weight_from_diagram,
+)
+
+
+def scale(p: CharPoly, factor) -> CharPoly:
+    """p with every coefficient multiplied by factor."""
+    return CharPoly(p.m, p.n, {v: c * factor for v, c in p.terms.items()})
+
+
+def restrict(p: CharPoly, window: Window) -> CharPoly:
+    """The terms of p with every exponent inside its slot's window interval."""
+    box = window.eps + window.delta
+    return CharPoly(p.m, p.n, {v: c for v, c in p.terms.items()
+                               if all(lo <= x <= hi for x, (lo, hi) in zip(v, box))})
 
 
 def shift(p: CharPoly, vec) -> CharPoly:
@@ -313,6 +339,40 @@ def irreducible_char_unfolded(chi: HighestWeight, variant: str = "classic") -> C
                 vec = [x - a for x, a in zip(vec, alpha)]
         num = nxt
     return tail_by_binomials(m, chi.n, num, slice_lo, slice_hi)
+
+
+def kac_coordinates_by_relocations(f: WeightDiagram) -> dict:
+    """The Su-Zhang Kac coordinates of L(f): every relocation with values
+    down to min(crosses) - m*n, each giving its image diagram's chi + rho
+    (through the image's weight) the sign epsilon_sign.  A relocation raises
+    the odd degree by its total displacement, so the ones below that cutoff
+    end above the slice."""
+    cutoff = (min(f.crosses) if f.crosses else 0) - f.m * f.n
+    coords: dict = {}
+    for wm in oracle.enumerate_weight_maps(f, cutoff):
+        omega = chi_plus_rho_exponent(weight_from_diagram(wm.image_diagram(f)))
+        _acc(coords, omega, oracle.epsilon_sign(f, wm))
+    return coords
+
+
+def kac_coordinates_by_lattice(f: WeightDiagram) -> dict:
+    """The Kac coordinates of L(f) from the lattice points x of the nesting
+    forest's order polyhedron down to min(crosses) - m*n, then a fold.  A
+    point moves each cross to its value: the term has A = the values then
+    the '>' positions and B = the values then the '<' positions, written A
+    then -B, and the sign of its total displacement.  Every term carries the
+    sign that makes the point at the crosses, chi + rho, count +1."""
+    m = f.m
+    forest = gamma(cap_diagram(f))
+    cutoff = (min(f.crosses) if f.crosses else 0) - m * f.n
+
+    def term(x):
+        return (tuple(x) + f.greater_positions
+                + tuple(-b for b in tuple(x) + f.less_positions))
+
+    [top_sign] = _fold(m, [(term(forest.labels), 1)]).values()
+    return _fold(m, ((term(x), top_sign * (-1) ** (sum(forest.labels) - sum(x)))
+                     for x in enumerate_lattice(polyhedron_of_forest(forest), cutoff)))
 
 
 def core_strip(f: WeightDiagram) -> tuple[WeightDiagram, dict[int, int]]:

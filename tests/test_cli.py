@@ -285,11 +285,41 @@ def test_non_integer_depth_exits_2(capsys, depth):
 
 
 def test_instability_exits_3(capsys):
-    code, _, err = run(capsys, "char", "--m", "2", "--n", "2",
-                       "--lambda", "1,1", "--mu", "-1,-1", "--depth", "0")
-    assert code == 3
-    assert err == ("error: depth 0 cuts a geometric series short inside the "
-                   "odd-degree slice (retry with --depth 4)\n")
+    for fmt in ("text", "latex"):
+        code, out, err = run(capsys, "char", "--m", "2", "--n", "2", "--lambda", "1,1",
+                             "--mu", "-1,-1", "--depth", "0", "--format", fmt)
+        assert (code, out) == (3, ""), fmt
+        assert err == ("error: depth 0 cuts a geometric series short inside the "
+                       "odd-degree slice (retry with --depth 4)\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+@pytest.mark.parametrize("weight,depth,message", [
+    (("--m", "4", "--n", "3", "--lambda", "0,0,0,0", "--mu", "0,-1,-1"), "auto",
+     "reduced variant unsupported: a non-special edge of the nesting forest leaves "
+     "the core subforest (use the classic variant for this weight)"),
+    (("--ab", "3,0:0,3"), "-1", "depth must be non-negative"),
+    (("--ab", "3,1:0,3"), "-2", "depth must be non-negative"),
+])
+def test_unsupported_weight_or_depth_exits_2(capsys, fmt, weight, depth, message):
+    code, out, err = run(capsys, "char", *weight, "--variant", "reduced",
+                         "--depth", depth, "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_char_latex_runs_no_series(capsys, monkeypatch):
+    # the closed form needs only theta: with the alternation tail
+    # unavailable it still prints, and a weight whose expansion has
+    # dimension about 4e12 prints at once
+    def unavailable(*args, **kwargs):
+        raise AssertionError("char --format latex ran the alternation tail")
+
+    monkeypatch.setattr(superchar.charring, "alternate_tail", unavailable)
+    for variant in ("classic", "reduced"):
+        code, out, err = run(capsys, "char", "--ab", "9,6,4,2,0:0,2,4,6,9",
+                             "--variant", variant, "--format", "latex")
+        assert (code, err) == (0, "")
+        assert out.startswith("D\\,\\mathrm{ch}\\,L(\\chi)="), variant
 
 
 def test_reduced_variant_runs_at_its_default_depth(capsys):
@@ -308,15 +338,15 @@ def test_reduced_variant_runs_at_its_default_depth(capsys):
 
 
 def test_non_integral_character_exits_4(capsys, monkeypatch):
-    # theta scaled by 1/3 gives the engine a character with coefficient 1/3
-    # at the highest weight
+    # theta scaled by 1/3 gives the engine the Kac coordinate chi + rho with
+    # coefficient 1/3
     original = superchar.charring.theta
     monkeypatch.setattr(superchar.charring, "theta", lambda forest: ThetaPoly(
         forest.r, {e: c / 3 for e, c in original(forest).terms.items()}))
     code, out, err = run(capsys, "char", "--m", "2", "--n", "2",
                          "--lambda", "1,1", "--mu", "-1,-1")
     assert (code, out) == (4, "")
-    assert err.startswith("error: invariant violated: monomial (")
+    assert err.startswith("error: invariant violated: Kac coordinate (")
     assert err.count("\n") == 1
 
 
@@ -385,8 +415,9 @@ def test_full_verify_computes_each_character_once(capsys, monkeypatch):
     # oracle, variants and supersymmetry check the same classic characters
     # and kac and supersymmetry the same Kac characters of the 325 grid
     # weights: one run makes 650 engine runs (classic and reduced), not
-    # 1,300, and 325 Kac characters, not 650.  The engine is counted, not
-    # alternate_tail, which the Kac characters and oracles run through too
+    # 1,300, and 325 Kac characters, not 650.  The engine's Kac coordinates
+    # are counted, not alternate_tail, which the Kac characters and oracles
+    # run through too
     counts = {"engine": 0, "kac": 0}
 
     def counted(key, fn):
@@ -396,8 +427,8 @@ def test_full_verify_computes_each_character_once(capsys, monkeypatch):
         wrapper.__name__ = fn.__name__
         return wrapper
 
-    monkeypatch.setattr(superchar.charring, "_engine",
-                        counted("engine", superchar.charring._engine))
+    monkeypatch.setattr(superchar.charring, "kac_coordinates",
+                        counted("engine", superchar.charring.kac_coordinates))
     monkeypatch.setattr(cli, "kac_char", counted("kac", cli.kac_char))
     code, _, _ = run(capsys, "verify")
     assert code == 0

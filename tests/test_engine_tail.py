@@ -14,6 +14,7 @@ from superchar.capgraph import ThetaPoly
 from superchar.charring import (
     TruncationInstability,
     Window,
+    _fold,
     _numerator,
     _strips,
     alternate_tail,
@@ -24,7 +25,13 @@ from superchar.charring import (
 from superchar.oracle import oracle_char, oracle_char_lattice
 from superchar.weights import HighestWeight, InvariantError, diagram_of_weight, rho
 
-from helpers import dominant_weights, irreducible_char_unfolded, tail_by_binomials, tail_by_division
+from helpers import (
+    dominant_weights,
+    irreducible_char_unfolded,
+    restrict,
+    tail_by_binomials,
+    tail_by_division,
+)
 
 SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)]
 
@@ -49,7 +56,7 @@ def test_alternate_tail_matches_division_route(m, n, fractions):
         num = _random_numerator(rng, m, n, fractions)
         lo = rng.randint(-3 * n, 2 * n)
         hi = lo + rng.randint(0, m * n)
-        assert (alternate_tail(m, n, num, lo, hi)
+        assert (alternate_tail(m, n, _fold(m, num.items()), lo, hi)
                 == tail_by_division(m, n, num, lo, hi)), (num, lo, hi)
 
 
@@ -66,7 +73,8 @@ def test_windowed_tail_is_the_restricted_tail(m, n):
         num = _random_numerator(rng, m, n, rng.random() < 0.3)
         lo = rng.randint(-3 * n, 2 * n)
         hi = lo + rng.randint(0, m * n)
-        full = alternate_tail(m, n, num, lo, hi)
+        coords = _fold(m, num.items())
+        full = alternate_tail(m, n, coords, lo, hi)
         if full.is_zero():
             continue
         hull = Window.hull(full, margin=1)
@@ -90,10 +98,10 @@ def test_windowed_tail_is_the_restricted_tail(m, n):
                 delta[0] = (lo + 1 - rho_delta - rest, hi - 1 - rho_delta - rest)
                 inside += 1
             window = Window(tuple(eps), tuple(delta))
-            expected = full.restrict(window)
+            expected = restrict(full, window)
             hits += not expected.is_zero()
             misses += expected.is_zero()
-            assert alternate_tail(m, n, num, lo, hi, window) == expected, (num, window)
+            assert alternate_tail(m, n, coords, lo, hi, window) == expected, (num, window)
     assert hits and misses
     assert inside or m * n < 2
 
@@ -124,8 +132,8 @@ def test_alternate_tail_matches_binomial_reference(case):
     m, n, num, lo, hi, window = case
     expected = tail_by_binomials(m, n, num, lo, hi)
     if window is not None:
-        expected = expected.restrict(window)
-    assert alternate_tail(m, n, num, lo, hi, window) == expected
+        expected = restrict(expected, window)
+    assert alternate_tail(m, n, _fold(m, num.items()), lo, hi, window) == expected
 
 
 _ENGINE_WEIGHTS = [chi for m in (1, 2, 3) for n in (1, 2, 3)
@@ -148,13 +156,13 @@ def test_irreducible_char_matches_unfolded_series(chi, variant):
 
 
 def test_non_integral_character_raises(monkeypatch):
-    # theta scaled by 1/3: the engine's result is the character over 3, whose
-    # highest-weight coefficient is 1/3
+    # theta scaled by 1/3: the engine's Kac coordinates are the character's
+    # over 3, and the one of chi + rho is 1/3
     original = charring.theta
     monkeypatch.setattr(charring, "theta", lambda forest: ThetaPoly(
         forest.r, {e: c / 3 for e, c in original(forest).terms.items()}))
     chi = HighestWeight(2, 2, (1, 1), (-1, -1))
-    with pytest.raises(InvariantError, match=r"monomial \(.*\) has the non-integer coefficient"):
+    with pytest.raises(InvariantError, match=r"Kac coordinate \(.*\) has the non-integer coefficient"):
         irreducible_char(chi)
 
 

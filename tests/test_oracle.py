@@ -14,6 +14,7 @@ from superchar.charring import (
     chi_plus_rho_exponent,
     irreducible_char,
     kac_char,
+    kac_coordinates,
 )
 from superchar.latticegen import enumerate_lattice, polyhedron_of_forest
 from superchar.oracle import (
@@ -37,7 +38,15 @@ from superchar.weights import (
     weight_from_diagram,
 )
 
-from helpers import core_strip, dominant_weights, orthogonality_dense, random_diagram
+from helpers import (
+    core_strip,
+    dominant_weights,
+    kac_coordinates_by_lattice,
+    kac_coordinates_by_relocations,
+    orthogonality_dense,
+    random_diagram,
+    restrict,
+)
 
 
 def crosses_only(*positions):
@@ -229,6 +238,45 @@ def test_oracle_agrees_with_engine_on_grid():
             assert oracle_char(f, window) == ch, chi
 
 
+COORDINATE_WEIGHTS = ([chi for m, n in [(1, 1), (2, 1), (1, 2), (2, 2)]
+                       for chi in dominant_weights(m, n, -2, 2)]
+                      + [chi for m, n in [(3, 2), (2, 3), (3, 3)]
+                         for chi in dominant_weights(m, n, -1, 1)])
+
+
+def test_kac_coordinates_agree_across_routes():
+    # the engine's folded series (the vertex cones), the reduced variant's,
+    # the Su-Zhang relocations and the polyhedron's lattice points give one
+    # set of Kac coordinates on the band [slice_lo - m*n, slice_hi] that can
+    # reach the slice; the windowed oracles check the characters end to end
+    assert len(COORDINATE_WEIGHTS) == 620
+    reduced = 0
+    for chi in COORDINATE_WEIGHTS:
+        m, n = chi.m, chi.n
+        f = diagram_of_weight(chi)
+        coords, lo, hi = kac_coordinates(chi)
+        assert (lo, hi) == (sum(chi_plus_rho_exponent(chi)[m:]), lo + m * n), chi
+
+        def on_band(c):
+            return {v: x for v, x in c.items() if lo - m * n <= sum(v[m:]) <= hi}
+
+        assert on_band(coords) == coords, chi
+        routes = {"relocations": kac_coordinates_by_relocations(f),
+                  "lattice": kac_coordinates_by_lattice(f)}
+        try:
+            routes["reduced"] = kac_coordinates(chi, "reduced")[0]
+            reduced += 1
+        except ValueError:
+            pass  # the reduced variant does not cover this weight
+        for route, got in routes.items():
+            got = on_band(got)
+            bad = sorted((v for v in coords.keys() | got.keys()
+                          if coords.get(v, 0) != got.get(v, 0)), reverse=True)
+            assert not bad, (f"{chi}: {route} gives {got.get(bad[0], 0)} at Kac "
+                             f"coordinate {bad[0]}, classic {coords.get(bad[0], 0)}")
+    assert reduced > 300
+
+
 def test_lattice_route_agrees_with_engine():
     rng = random.Random(59)
     sample = rng.sample(dominant_weights(2, 2, -2, 2), 20)
@@ -237,7 +285,7 @@ def test_lattice_route_agrees_with_engine():
         f = diagram_of_weight(chi)
         ch = irreducible_char(chi)
         window = Window.hull(ch, margin=1)
-        assert oracle_char_lattice(f, window) == ch.restrict(window) == ch, chi
+        assert oracle_char_lattice(f, window) == restrict(ch, window) == ch, chi
 
 
 def test_all_routes_on_asymmetric_blocks():

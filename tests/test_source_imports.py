@@ -16,8 +16,20 @@ def _imported_modules(path):
 
 def test_only_capgraph_imports_fractions():
     # theta's vertex-cone weights are the only rationals: the formula engine
-    # scales them to ints and divides back exactly, so characters, the
-    # character ring and the CLI carry ints
+    # scales them to ints and divides the scale out of each Kac coordinate
+    # exactly, so characters, the character ring and the CLI carry ints
     users = sorted(path.name for path in SRC.glob("*.py")
                    if any(name.split(".")[0] == "fractions" for name in _imported_modules(path)))
     assert users == ["capgraph.py"]
+
+
+def test_only_alt_J_and_the_lattice_oracle_fold():
+    # the alternation tail takes Kac coordinates, both blocks strictly
+    # decreasing: the engine's series and the relocations make them folded,
+    # and only a plain alternant sum folds its terms itself
+    users = sorted(f"{path.stem}.{node.name}" for path in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef)
+                   and any(isinstance(name, ast.Name) and name.id == "_fold"
+                           for name in ast.walk(node)))
+    assert users == ["charring.alt_J", "oracle.oracle_char_lattice"]
