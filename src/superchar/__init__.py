@@ -11,7 +11,6 @@ from .caps import CapForest, SegmentData, cap_diagram, precedes, projective_fami
 from .capgraph import Forest, ThetaPoly, gamma, linear_extensions, subgraphs, theta, theta_tilde
 from .charring import (
     CharPoly,
-    TruncationInstability,
     Window,
     alt_J,
     dhat_denominator,
@@ -34,7 +33,6 @@ __all__ = [
     "InvariantError",
     "SegmentData",
     "ThetaPoly",
-    "TruncationInstability",
     "WeightDiagram",
     "Window",
     "ab_sets",

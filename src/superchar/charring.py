@@ -5,14 +5,12 @@ Exponent vectors live in Z^(m+n): the first m slots are even (x = e^eps)
 coordinates, the last n odd (y = e^delta).  The alternation J, the normalized
 Weyl-type denominator, Kac characters, and the closed vertex-cone formula are
 all computed with exact integer arithmetic.  The formula engine runs theta's
-numerator through truncated geometric series for the odd denominator factors
-to its Kac coordinates, then sums their Kac characters in the alternation
-tail the oracles share; the only rationals, theta's coefficients, are scaled
-to integers for the series and divided out of each Kac coordinate exactly.
-Every step of a series raises the odd degree by one, so a series ends
-exactly where it leaves the odd-degree slice the character needs, and a
-truncation depth too small to get there is refused with the exact depth
-that suffices.
+numerator through the alternation tail the oracles share, in three layers:
+numerator -> paired and Pieri odd columns -> g0 blocks -> expansion.  The
+odd factor's atypical binomials cancel the paper's geometric series
+exactly, so no series is expanded and nothing is truncated (g0_blocks); the
+only rationals, theta's coefficients, are scaled to integers for the tail
+and divided out of each g0 block exactly.
 """
 
 from __future__ import annotations
@@ -43,16 +41,6 @@ Vec = tuple[int, ...]
 
 class ExactDivisionError(ArithmeticError):
     """A division the normalization guarantees to be exact left a remainder."""
-
-
-class TruncationInstability(RuntimeError):
-    """The series truncation depth is below the exact bound: some geometric
-    series would be cut short while its next term still lies in the odd-degree
-    slice.  suggested_depth is the smallest depth that cuts none."""
-
-    def __init__(self, message: str, suggested_depth: int):
-        super().__init__(message)
-        self.suggested_depth = suggested_depth
 
 
 class CharPoly:
@@ -398,8 +386,8 @@ def _strips(block: Vec) -> tuple[tuple[Vec, ...], ...]:
     slot only inside a run of consecutive entries, so S is valid exactly
     when it meets each maximal run in a suffix of it: one choice of suffix
     length per run, and no candidate is rejected.  The cache is bounded: a
-    large weight's blocks are mostly seen once (gl(6|6) trivial meets
-    19,725), and keeping them all doubles its peak memory."""
+    large weight's blocks are mostly seen once, and keeping them all
+    doubles its peak memory."""
     runs: list[Vec] = []
     for i, x in enumerate(block):
         if i and block[i - 1] == x + 1:
@@ -419,70 +407,97 @@ def _strips(block: Vec) -> tuple[tuple[Vec, ...], ...]:
     return tuple(map(tuple, out))
 
 
-def alternate_tail(m: int, n: int, coords: dict[Vec, object],
-                   slice_lo: int, slice_hi: int,
-                   window: Window | None = None) -> CharPoly:
-    """Sum of c * ch K(omega - rho) over Kac coordinates omega (each block
-    strictly decreasing) with coefficients c, restricted to odd degree
-    [slice_lo, slice_hi]: J(coords * Q) divided by e^rho * prod_even
-    (1 - e^{-alpha}), the numerator of the normalized denominator pair; with
-    a window, only its terms inside the window.
+@lru_cache(maxsize=1024)
+def _paired_strips(prefix: Vec, value: int, free: Vec
+                   ) -> tuple[tuple[tuple[Vec, ...], ...], tuple[tuple[Vec, ...], ...]]:
+    """A paired column on the even block prefix + (value,) + free, as two
+    lists (sign +1, sign -1) whose entry k holds the blocks of its degree-k
+    terms (_tail_blocks): a vertical strip of the folded prefix lowered
+    (_strips), any subset of the free slots lowered, and value inserted into
+    the lowered prefix with sign (-1)^(places passed); a tie dies.  Cached
+    and bounded, as _strips is."""
+    out = [[[] for _ in range(len(prefix) + len(free) + 1)] for _ in "+-"]
+    for mask in range(1 << len(free)):
+        low_free = tuple(x - (mask >> t & 1) for t, x in enumerate(free))
+        for k, lows in enumerate(_strips(prefix), mask.bit_count()):
+            for low in lows:
+                q = len(low)
+                while q and low[q - 1] < value:
+                    q -= 1
+                if not q or low[q - 1] != value:
+                    out[(len(low) - q) & 1][k].append(low[:q] + (value,) + low[q:] + low_free)
+    return tuple(tuple(map(tuple, half)) for half in out)
 
-    Q, the product of the m*n binomials (1 + e^{-(eps_i - delta_j)}), is
-    applied one odd column at a time: column j is prod_i (1 + y_j / x_i) =
-    sum_k y_j^k e_k(1/x), and every term stays folded.
 
-    Pieri step.  The columns are symmetric in the even block, so for a
-    strictly decreasing even block v, J(x^v e_k(1/x) g) is the sum of
-    J(x^(v - 1_S) g) over the k-subsets S of the even slots.  Lowering S
+def _tail_blocks(m: int, n: int, terms: dict[Vec, object],
+                 slice_lo: int, slice_hi: int, window: Window | None = None,
+                 paired: int = 0) -> dict[Vec, object]:
+    """The g0 blocks {omega: c} of J(terms * Q') on odd degrees [slice_lo,
+    slice_hi]: its folded terms, c the multiplicity of the gl(m)+gl(n)
+    irreducible L0(omega - rho) (_expand_blocks).  Q' is the product of the
+    binomials (1 + e^{-(eps_i - delta_j)}) but the `paired` ones that pair
+    odd slot j < paired with even slot m - paired + j.  Each term's first
+    m - paired even slots are strictly decreasing; with paired = 0 the terms
+    are Kac coordinates and Q' = Q.  Q' is applied one odd column at a time,
+    column j being prod_i (1 + y_j/x_i) over its even slots, and every term
+    stays folded.
+
+    Pieri step (j >= paired).  The column is symmetric in the even block,
+    so for a strictly decreasing even block v, J(x^v e_k(1/x) g) is the sum
+    of J(x^(v - 1_S) g) over the k-subsets S of the even slots.  Lowering S
     keeps the gap between slots i and i+1 when both or neither is lowered,
     widens it when only i+1 is, and narrows it by one when only i is; so
     v - 1_S is strictly decreasing unless a lowered slot now equals its
     unlowered right neighbour, where it has a repeat and J kills it.  The
-    surviving strips (_strips, cached per block) are folded terms with sign
-    +1 and need no re-sort.
+    surviving strips (_strips) are folded terms with sign +1.
+
+    Paired step (j < paired).  No column from j on skips a slot of the even
+    prefix 0 .. m - paired + j - 1, so what is left of Q' is symmetric in it
+    and it is kept folded.  Column j lowers a vertical strip of the prefix
+    and any subset of the later partners, which are not yet symmetric with
+    it, and skips its own partner; the columns after it are symmetric in
+    the prefix plus that partner, whose value is then inserted into the
+    prefix with sign (-1)^(places passed), a tie dying (_paired_strips).
 
     Insertion fold.  The columns after j touch neither odd slot j nor the
-    ones before it, so what is left of Q is symmetric in odd slots 0..j,
+    ones before it, so what is left of Q' is symmetric in odd slots 0..j,
     and J(sigma f * g) = sgn(sigma) J(f * g) for sigma permuting them.  Slots
     0..j-1 are kept strictly decreasing, so column j inserts y_j + k into
-    them with sign (-1)^(places passed), and drops the term on a tie.  After
-    the last column both blocks are folded.
+    them with sign (-1)^(places passed), and drops the term on a tie.
 
-    Prune.  A column adds k in [0, m] to a term's odd degree d, so with c
-    columns after it the term ends in [d + k, d + k + m*c]: keeping d + k
-    in [slice_lo - m*c, slice_hi] drops exactly the terms that cannot end
-    in the slice.  A folded term e^omega contributes the product of the two
-    Laurent Schur blocks of highest weight omega - rho.  A window is a
-    product of per-slot intervals, so each block is expanded inside its half
-    of the window only (_schur_block), which equals the whole expansion
-    restricted to the window.  Coefficients pass through plain arithmetic,
-    so int coordinates give int results.
-
-    A window also clips the slice, exactly: the odd block of omega - rho is
+    Prune.  A Pieri column adds k in [0, m] to a term's odd degree d, a
+    paired one k in [0, m - 1]; with room `left` in the columns after it the
+    term ends in [d + k, d + k + left], so keeping d + k in [slice_lo -
+    left, slice_hi] drops exactly the terms that cannot end in the slice.
+    A window clips the slice, exactly: the odd block of omega - rho is
     homogeneous of degree deg(omega) - sum(rho_delta), deg the odd degree,
     so omega has a weight in the window only if that degree lies between the
     sums of the window's odd lower bounds and of its odd upper bounds.
     """
-    r = rho(m, n)
     if window is not None:
-        shift = sum(r.delta_part)
+        shift = sum(rho(m, n).delta_part)
         slice_lo = max(slice_lo, sum(lo for lo, _ in window.delta) + shift)
         slice_hi = min(slice_hi, sum(hi for _, hi in window.delta) + shift)
         if slice_lo > slice_hi:
-            return CharPoly.zero(m, n)
-    terms = {v: c for v, c in coords.items() if slice_lo - m * n <= sum(v[m:]) <= slice_hi}
+            return {}
+    terms = {v: c for v, c in terms.items()
+             if slice_lo - m * n + paired <= sum(v[m:]) <= slice_hi}
     for j in range(n):
-        left = m * (n - 1 - j)
+        pair = j < paired
+        left = m * (n - 1 - j) - max(0, paired - 1 - j)
         nxt: dict[Vec, object] = {}
         get = nxt.get
         for v, c in terms.items():
             odd = v[m:]
             head, y, rest = odd[:j], odd[j], odd[j + 1:]
             d = sum(odd)
-            strips = _strips(v[:m])
+            if pair:
+                cut = m - paired + j
+                strips, minus = _paired_strips(v[:cut], v[cut], v[cut + 1:m])
+            else:
+                strips, minus = _strips(v[:m]), None
             p = j
-            for k in range(max(0, slice_lo - left - d), min(m, slice_hi - d) + 1):
+            for k in range(max(0, slice_lo - left - d), min(m - pair, slice_hi - d) + 1):
                 z = y + k
                 while p and head[p - 1] < z:
                     p -= 1
@@ -493,12 +508,26 @@ def alternate_tail(m: int, n: int, coords: dict[Vec, object],
                 for low in strips[k]:
                     key = low + ys
                     nxt[key] = get(key, 0) + ck
+                if minus:
+                    for low in minus[k]:
+                        key = low + ys
+                        nxt[key] = get(key, 0) - ck
         terms = {v: c for v, c in nxt.items() if c}
+    return terms
 
+
+def _expand_blocks(m: int, n: int, blocks: dict[Vec, object],
+                   window: Window | None = None) -> CharPoly:
+    """Sum of c * ch L0(omega - rho) over g0 blocks {omega: c}: the product of
+    the two Laurent Schur blocks of highest weight omega - rho.  A window is
+    a product of per-slot intervals, so each block is expanded inside its
+    half of the window only (_schur_block), which equals the whole expansion
+    restricted to the window."""
+    r = rho(m, n)
     # group by the even block so each even Schur block is expanded once
     eps_box, delta_box = (window.eps, window.delta) if window else (None, None)
     odd_parts: dict[Vec, dict[Vec, int]] = {}
-    for w, c in terms.items():
+    for w, c in blocks.items():
         lam = tuple(map(sub, w[:m], r.eps_part))
         inner = odd_parts.setdefault(lam, {})
         for vd, cd in _schur_block(tuple(map(sub, w[m:], r.delta_part)), delta_box):
@@ -511,6 +540,19 @@ def alternate_tail(m: int, n: int, coords: dict[Vec, object],
                 key = ve + vd
                 out[key] = out.get(key, 0) + ce * cd
     return CharPoly(m, n, out)
+
+
+def alternate_tail(m: int, n: int, coords: dict[Vec, object],
+                   slice_lo: int, slice_hi: int,
+                   window: Window | None = None) -> CharPoly:
+    """Sum of c * ch K(omega - rho) over Kac coordinates omega (each block
+    strictly decreasing) with coefficients c, restricted to odd degree
+    [slice_lo, slice_hi]: J(coords * Q) divided by e^rho * prod_even
+    (1 - e^{-alpha}), the numerator of the normalized denominator pair; with
+    a window, only its terms inside the window.  The g0 blocks of the Kac
+    modules (_tail_blocks), expanded (_expand_blocks)."""
+    return _expand_blocks(m, n, _tail_blocks(m, n, coords, slice_lo, slice_hi, window),
+                          window)
 
 
 @lru_cache(maxsize=None)
@@ -563,20 +605,21 @@ def kac_char_window(f: WeightDiagram, window: Window) -> CharPoly:
 # irreducible characters
 
 def auto_depth(chi: HighestWeight) -> int:
-    """The depth an 'auto' run reports: m*n + max(spread + 5, nu), spread
-    the distance from the largest shifted label down to the smallest cross,
-    nu the total distance of the crosses to their segment maxima.
-
-    It is never below irreducible_char's series bound, the slice top (the
-    odd degree of chi + rho, plus m*n) minus the numerator's lowest odd
-    degree.  A term t^e of theta sits at chi + rho + shift + sum_i e_i
-    alpha_i, and each alpha_i = eps - delta has odd degree -1.  Classic: the
-    exponents are <= 0 and the constant term is 1 (only the empty subgraph
-    keeps every vertex at its component minimum; the alpha_i are
-    independent, so nothing cancels it), so the bound is exactly m*n.
-    Reduced: the shift sum_i nu_i alpha_i lowers the odd degree by
-    nu = sum_i nu_i, and theta-tilde's exponents are <= 0 and only raise
-    it, so the bound is at most m*n + nu.
+    """The depth the paper's truncated geometric series would need, reported
+    in the JSON output; the engine expands no series (g0_blocks).  It is
+    m*n + max(spread + 5, nu), spread the distance from the largest shifted
+    label down to the smallest cross, nu the total distance of the crosses
+    to their segment maxima, and never below the series bound, the slice top
+    (the odd degree of chi + rho, plus m*n) minus the numerator's lowest odd
+    degree.  A term
+    t^e of theta sits at chi + rho + shift + sum_i e_i alpha_i, and each
+    alpha_i = eps - delta has odd degree -1.  Classic: the exponents are
+    <= 0 and the constant term is 1 (only the empty subgraph keeps every
+    vertex at its component minimum; the alpha_i are independent, so
+    nothing cancels it), so the bound is exactly m*n.  Reduced: the shift
+    sum_i nu_i alpha_i lowers the odd degree by nu = sum_i nu_i, and
+    theta-tilde's exponents are <= 0 and only raise it, so the bound is at
+    most m*n + nu.
     """
     f = diagram_of_weight(chi)
     crosses = f.crosses
@@ -587,30 +630,20 @@ def auto_depth(chi: HighestWeight) -> int:
 
 def irreducible_char(chi: HighestWeight, variant: str = "classic",
                      depth: int | str = "auto") -> CharPoly:
-    """Character of the irreducible module with highest weight chi.
+    """Character of the irreducible module with highest weight chi: the
+    expansion of its g0 blocks (g0_blocks).
 
     variant 'classic' sums over every spanning subgraph of the nesting
     forest; 'reduced' keeps only non-special edges and compensates with the
-    segment shift.  The odd denominators are expanded as geometric series
-    truncated at depth.  Each series step raises the odd degree by exactly
-    one, so the series bound (the top of the odd-degree slice minus the
-    smallest odd degree of the numerator) is the exact depth below which some
-    series is cut short while its next term still lies in the slice.  At or
-    above it the result equals the untruncated one; below it
-    TruncationInstability is raised with the bound as suggested_depth.
-    auto_depth is proved never to fall below it, so 'auto' runs without the
-    comparison.  A depth not 'auto' or an int raises.  The character is the
-    sliced Kac sum of kac_coordinates, as the oracles sum theirs.
+    segment shift.  depth has no effect, as no series is truncated; it is
+    still checked to be 'auto' or a non-negative int.
     """
-    if variant not in ("classic", "reduced"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if depth == "auto":
-        depth = None
-    elif not isinstance(depth, int) or isinstance(depth, bool):
-        raise ValueError(f"depth must be 'auto' or an int, not {depth!r}")
-    elif depth < 0:
-        raise ValueError("depth must be non-negative")
-    return alternate_tail(chi.m, chi.n, *kac_coordinates(chi, variant, depth))
+    if depth != "auto":
+        if not isinstance(depth, int) or isinstance(depth, bool):
+            raise ValueError(f"depth must be 'auto' or an int, not {depth!r}")
+        if depth < 0:
+            raise ValueError("depth must be non-negative")
+    return _expand_blocks(chi.m, chi.n, g0_blocks(chi, variant))
 
 
 def engine_summand_count(chi: HighestWeight, variant: str = "classic") -> int:
@@ -623,11 +656,12 @@ def engine_summand_count(chi: HighestWeight, variant: str = "classic") -> int:
     return 1 << len(special_edges(forest, segment_data(f)))
 
 
-def _numerator(chi: HighestWeight, variant: str, depth: int | None = None
+def _numerator(chi: HighestWeight, variant: str
                ) -> tuple[dict[Vec, object], tuple[Vec, ...], int, int]:
-    """e^top * theta(-e^alpha) before the geometric series: its terms, the
-    atypical roots whose series follow, and the odd-degree slice.  A depth
-    below the series bound raises (irreducible_char); None is 'auto'."""
+    """e^top * theta(-e^alpha): its terms, the atypical roots, and the
+    odd-degree slice of the character."""
+    if variant not in ("classic", "reduced"):
+        raise ValueError(f"unknown variant {variant!r}")
     m, n = chi.m, chi.n
     f = diagram_of_weight(chi)
     vecs = position_exponents(f)
@@ -661,83 +695,62 @@ def _numerator(chi: HighestWeight, variant: str, depth: int | None = None
                 vec[k] += e * alphas[i][k]
         sign = -1 if sum(exps) % 2 else 1
         _acc(num, tuple(vec), coeff * sign * global_sign)
-    if alphas and depth is not None:
-        bound = base_delta + m * n - min(sum(v[m:]) for v in num)
-        if depth < bound:
-            raise TruncationInstability(
-                f"depth {depth} cuts a geometric series short inside the "
-                f"odd-degree slice",
-                suggested_depth=bound)
     return num, alphas, base_delta, base_delta + m * n
 
 
-def kac_coordinates(chi: HighestWeight, variant: str = "classic",
-                    depth: int | None = None) -> tuple[dict[Vec, int], int, int]:
-    """(coords, slice_lo, slice_hi): ch L(chi) is the sum of
-    c * ch K(omega - rho) over coords {omega: c} on the odd-degree slice.
-    The coordinates are the folded terms of theta's numerator times the
-    series, the vertex cones of the forest's polyhedron (Brion), so the
-    relocations and the lattice points give the same ones.  Only odd degrees
-    >= slice_lo - m*n can reach the slice, as Q adds at most m*n, so only
-    those are kept.  The series runs on theta scaled to ints by the lcm of
-    its denominators; the scale is divided out of each coordinate, and a
-    remainder is a bug (InvariantError).  depth None is 'auto'.
+def g0_blocks(chi: HighestWeight, variant: str = "classic") -> dict[Vec, int]:
+    """The g0 blocks {omega: c} of L(chi): ch L(chi) is the sum of
+    c * ch L0(omega - rho) over them, c the multiplicity of the gl(m)+gl(n)
+    irreducible L0(omega - rho) (Kac 1977), omega folded.
+
+    Why no series is needed.  The paper writes D * ch L = J(X) with X =
+    e^top theta(-e^alpha) / prod_i (1 + e^{-alpha_i}) over the atypical
+    roots alpha_i, each factor a geometric series, and D = e^rho *
+    prod_even (1 - e^{-alpha}) / Q, Q the product of the m*n odd binomials
+    (1 + e^{-beta}).  Every step of a series raises the odd degree by one,
+    and W0 keeps the odd degree.  So the series, their W0-images and Q all
+    lie in one ring: Laurent series whose odd degree is bounded below, with
+    finitely many terms in each degree.  In that ring J(X) * Q = J(X * Q),
+    as Q is W0-invariant, and Q contains each atypical binomial, so X * Q =
+    e^top theta(-e^alpha) * Q' with Q' the product of the other binomials:
+    a finite product.  Hence e^rho * prod_even (1 - e^{-alpha}) * ch L =
+    J(_numerator * Q'), and by Weyl's formula each folded term e^omega of
+    J(...) over that denominator is ch L0(omega - rho).
+
+    The tail applies Q' (_tail_blocks with paired = r).  Its slots are first
+    relabelled, with the sign of the relabelling (J(sigma f * g) = sgn(sigma)
+    J(f * g) for the W0-invariant Q), so that the even block lists the slots
+    no root touches, folded once, then the roots' even slots in root order,
+    and the odd block the roots' odd slots in root order, then the rest:
+    odd column j < r is then paired with even slot m - r + j.  The
+    character's odd degrees lie in [slice_lo, slice_hi], as L(chi) is a
+    quotient of the Kac module, so only that slice is kept.  Theta is scaled
+    to ints by the lcm of its denominators; the scale is divided out of each
+    block, and a remainder is a bug (InvariantError).
     """
     m, n = chi.m, chi.n
-    num, alphas, slice_lo, slice_hi = _numerator(chi, variant, depth)
-
-    # Each step t -> t + 1 (vec -= alpha, alpha = eps_i - delta_j) raises the
-    # odd degree by one, so a series runs from a term's odd degree up to
-    # slice_hi.
-    #
-    # Partial folds.  Each atypical root touches its own even slot and odd
-    # slot; no two roots share a slot.  Once a root's series is done, its
-    # two slots are final, and so is every slot no root touches: the series
-    # still to come and Q are symmetric under permuting the final slots of
-    # one block (a series is cut by the odd degree, which a permutation
-    # keeps), and J(sigma f * g) = sgn(sigma) J(f * g) for a sigma-invariant
-    # g.  So the slots are first relabelled, with the sign of the
-    # relabelling, to list in each block the untouched slots, then the
-    # roots' slots in order: the final slots are then a prefix of each
-    # block, kept strictly decreasing.  A series term inserts its two new
-    # values into the two prefixes with sign (-1)^(places passed) and dies
-    # on a tie, as alternate_tail's odd columns do; equal terms merge, so
-    # this shrinks the work and does not only prune it.
+    num, alphas, slice_lo, slice_hi = _numerator(chi, variant)
     scale = lcm(*(c.denominator for c in num.values()))
     pairs = [(alpha.index(1), alpha.index(-1)) for alpha in alphas]
     roots = {s for pair in pairs for s in pair}
     order = ([s for s in range(m) if s not in roots] + [i for i, _ in pairs]
-             + [s for s in range(m, m + n) if s not in roots] + [j for _, j in pairs])
+             + [j for _, j in pairs] + [s for s in range(m, m + n) if s not in roots])
     sign, _ = _sort_desc_signed(tuple(-s for s in order))  # order's parity
-    num = {tuple(v[s] for s in order): sign * int(c * scale) for v, c in num.items()}
-    for i, j in zip(range(m - len(pairs), m), range(m + n - len(pairs), m + n)):
-        nxt: dict[Vec, int] = {}
-        get = nxt.get
-        for v, c in num.items():
-            head_e, x, rest_e = v[:i], v[i], v[i + 1:m]
-            head_o, y, rest_o = v[m:j], v[j], v[j + 1:]
-            pe, po = 0, j - m
-            for t in range(slice_hi - sum(v[m:]) + 1):
-                ze, zo = x - t, y + t
-                while pe < i and head_e[pe] > ze:
-                    pe += 1
-                while po and head_o[po - 1] < zo:
-                    po -= 1
-                if pe < i and head_e[pe] == ze or po and head_o[po - 1] == zo:
-                    continue
-                key = (head_e[:pe] + (ze,) + head_e[pe:] + rest_e
-                       + head_o[:po] + (zo,) + head_o[po:] + rest_o)
-                nxt[key] = get(key, 0) + (-c if (t + i - pe + j - m - po) & 1 else c)
-        num = {v: c for v, c in nxt.items() if c}
-    coords: dict[Vec, int] = {}
+    free = m - len(pairs)
+    terms: dict[Vec, int] = {}
     for v, c in num.items():
-        if sum(v[m:]) >= slice_lo - m * n:
-            q, rem = divmod(c, scale)
-            if rem:
-                raise InvariantError(
-                    f"Kac coordinate {v} has the non-integer coefficient {c}/{scale}")
-            coords[v] = q
-    return coords, slice_lo, slice_hi
+        w = tuple(v[s] for s in order)
+        head_sign, head = _sort_desc_signed(w[:free])
+        if head_sign:
+            _acc(terms, head + w[free:], head_sign * sign * int(c * scale))
+    blocks: dict[Vec, int] = {}
+    for omega, c in _tail_blocks(m, n, terms, slice_lo, slice_hi, paired=len(pairs)).items():
+        q, rem = divmod(c, scale)
+        if rem:
+            raise InvariantError(
+                f"g0 block {omega} has the non-integer multiplicity {c}/{scale}")
+        blocks[omega] = q
+    return blocks
 
 
 # ---------------------------------------------------------------------------

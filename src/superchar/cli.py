@@ -1,8 +1,8 @@
 """Command-line front end: compute characters, render diagrams, emit the
 theta polynomials, run the verification suites, export JSON or LaTeX.
 
-Exit codes: 0 success, 2 invalid input, 3 truncation instability,
-4 verification failure or a violated internal invariant.
+Exit codes: 0 success, 2 invalid input, 4 verification failure or a
+violated internal invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .capgraph import gamma, theta, theta_tilde
 from .caps import cap_diagram, family_pairs, render_caps, segment_data
 from .charring import (
     CharPoly,
-    TruncationInstability,
     Window,
     _numerator,
     alt_J,
@@ -46,7 +45,6 @@ from .weights import (
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
-EXIT_INSTABILITY = 3
 EXIT_VERIFY_FAILED = 4
 
 
@@ -172,16 +170,10 @@ def _char_latex(chi: HighestWeight, variant: str) -> str:
 def cmd_char(args) -> int:
     chi = _weight_from_args(args)
     try:
-        depth = "auto" if args.depth == "auto" else int(args.depth)
-    except ValueError:
-        raise InputError(f"--depth must be 'auto' or an integer, got {args.depth!r}") from None
-    if depth != "auto" and depth < 0:
-        raise InputError("depth must be non-negative")
-    try:
-        if args.format == "latex":  # the closed form needs only theta: no series
-            _numerator(chi, args.variant, None if depth == "auto" else depth)
+        if args.format == "latex":  # the closed form needs only theta
+            _numerator(chi, args.variant)
         else:
-            ch = irreducible_char(chi, variant=args.variant, depth=depth)
+            ch = irreducible_char(chi, variant=args.variant)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -191,7 +183,7 @@ def cmd_char(args) -> int:
             "m": chi.m, "n": chi.n,
             "lambda": list(chi.lam), "mu": list(chi.mu),
             "variant": args.variant,
-            "depth": auto_depth(chi) if depth == "auto" else depth,
+            "depth": auto_depth(chi),
             "dimension": dimension_eval(ch),
             "monomials": _char_json_terms(ch),
             "theta": _theta_json(th),
@@ -494,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_weight_flags(p_char)
     p_char.add_argument("--variant", choices=["classic", "reduced"],
                         default="classic")
-    p_char.add_argument("--depth", default="auto")
     p_char.set_defaults(func=cmd_char)
 
     p_kac = sub.add_parser("kac", help="Kac module character")
@@ -524,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = ("--lambda", "--mu", "--ab", "--depth")
+_VALUE_FLAGS = ("--lambda", "--mu", "--ab")
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -556,10 +547,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except TruncationInstability as exc:
-        print(f"error: {exc} (retry with --depth {exc.suggested_depth})",
-              file=sys.stderr)
-        return EXIT_INSTABILITY
     except InvariantError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

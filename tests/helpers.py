@@ -6,8 +6,9 @@ permutations, Schur weights from semistandard tableaux or a ratio of
 alternants, lattice points from plain nested loops, the alternation tail from
 full-orbit expansion and exact division instead of folding and Schur-block
 assembly, or from one binomial of the odd factor at a time instead of Pieri
-steps, the formula engine with its geometric series expanded in full instead
-of folded after each root, Kac characters from whole even-block characters
+steps, the g0 blocks of a paired tail from one binomial at a time and one
+fold, the formula engine with the paper's geometric series expanded in full
+instead of cancelled by the odd factor, Kac characters from whole even-block characters
 times the fully expanded odd factor, theta from one built subgraph per edge
 subset instead of an edge-mask walk, the orthogonality product by pairing
 every row with every column, the proj output from one swapped diagram per
@@ -40,6 +41,7 @@ from superchar.charring import (
     chi_plus_rho_exponent,
     divide_exact,
     even_positive_roots,
+    odd_positive_roots,
     q_odd_product,
 )
 from superchar.latticegen import enumerate_lattice, polyhedron_of_forest
@@ -339,6 +341,22 @@ def irreducible_char_unfolded(chi: HighestWeight, variant: str = "classic") -> C
                 vec = [x - a for x, a in zip(vec, alpha)]
         num = nxt
     return tail_by_binomials(m, chi.n, num, slice_lo, slice_hi)
+
+
+def blocks_by_binomials(m, n, num, alphas):
+    """The folded terms of J(num * Q'), Q' the odd factor without the
+    atypical binomials (1 + e^{-alpha}) over alpha in alphas: num times each
+    other binomial (1 + e^{-(eps_i - delta_j)}) in turn, then one fold."""
+    terms = dict(num)
+    for beta in odd_positive_roots(m, n):
+        if beta in alphas:
+            continue
+        nxt = {}
+        for v, c in terms.items():
+            _acc(nxt, v, c)
+            _acc(nxt, tuple(x - b for x, b in zip(v, beta)), c)
+        terms = nxt
+    return _fold(m, terms.items())
 
 
 def kac_coordinates_by_relocations(f: WeightDiagram) -> dict:

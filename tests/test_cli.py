@@ -275,22 +275,30 @@ def test_missing_weight_exits_2(capsys):
     assert code == 2
 
 
+def _exits_2_unrecognized(capsys, argv, rest):
+    # argparse refuses an unknown option: exit 2, the usage on stderr
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {rest}" in err
+    return err
+
+
 @pytest.mark.parametrize("depth", ["abc", "1.5"])
 def test_non_integer_depth_exits_2(capsys, depth):
-    code, out, err = run(capsys, "char", "--m", "1", "--n", "1",
-                         "--lambda", "0", "--mu", "0", "--depth", depth)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: --depth must be 'auto' or an integer")
+    # no series is truncated, so --depth is not an option
+    _exits_2_unrecognized(capsys, ["char", "--m", "1", "--n", "1", "--lambda", "0",
+                                   "--mu", "0", "--depth", depth], f"--depth {depth}")
 
 
 def test_instability_exits_3(capsys):
+    # there is no depth option, so no exit 3: argparse refuses any depth
     for fmt in ("text", "latex"):
-        code, out, err = run(capsys, "char", "--m", "2", "--n", "2", "--lambda", "1,1",
-                             "--mu", "-1,-1", "--depth", "0", "--format", fmt)
-        assert (code, out) == (3, ""), fmt
-        assert err == ("error: depth 0 cuts a geometric series short inside the "
-                       "odd-degree slice (retry with --depth 4)\n")
+        _exits_2_unrecognized(capsys, ["char", "--m", "2", "--n", "2", "--lambda", "1,1",
+                                       "--mu", "-1,-1", "--depth", "0", "--format", fmt],
+                              "--depth 0")
 
 
 @pytest.mark.parametrize("fmt", ["text", "latex"])
@@ -302,19 +310,25 @@ def test_instability_exits_3(capsys):
     (("--ab", "3,1:0,3"), "-2", "depth must be non-negative"),
 ])
 def test_unsupported_weight_or_depth_exits_2(capsys, fmt, weight, depth, message):
-    code, out, err = run(capsys, "char", *weight, "--variant", "reduced",
-                         "--depth", depth, "--format", fmt)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # the reduced-support refusal is ours; a depth, even a negative one, is
+    # an unknown option to argparse and never reaches a depth message
+    argv = ["char", *weight, "--variant", "reduced", "--format", fmt]
+    if depth == "auto":
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    else:
+        err = _exits_2_unrecognized(capsys, argv + ["--depth", depth], f"--depth {depth}")
+        assert message not in err
 
 
 def test_char_latex_runs_no_series(capsys, monkeypatch):
-    # the closed form needs only theta: with the alternation tail
-    # unavailable it still prints, and a weight whose expansion has
-    # dimension about 4e12 prints at once
+    # the closed form needs only theta: with the odd columns unavailable it
+    # still prints, and a weight whose expansion has dimension about 4e12
+    # prints at once
     def unavailable(*args, **kwargs):
-        raise AssertionError("char --format latex ran the alternation tail")
+        raise AssertionError("char --format latex ran the odd columns")
 
-    monkeypatch.setattr(superchar.charring, "alternate_tail", unavailable)
+    monkeypatch.setattr(superchar.charring, "_tail_blocks", unavailable)
     for variant in ("classic", "reduced"):
         code, out, err = run(capsys, "char", "--ab", "9,6,4,2,0:0,2,4,6,9",
                              "--variant", variant, "--format", "latex")
@@ -338,15 +352,15 @@ def test_reduced_variant_runs_at_its_default_depth(capsys):
 
 
 def test_non_integral_character_exits_4(capsys, monkeypatch):
-    # theta scaled by 1/3 gives the engine the Kac coordinate chi + rho with
-    # coefficient 1/3
+    # theta scaled by 1/3 gives the engine the g0 block chi + rho with
+    # multiplicity 1/3
     original = superchar.charring.theta
     monkeypatch.setattr(superchar.charring, "theta", lambda forest: ThetaPoly(
         forest.r, {e: c / 3 for e, c in original(forest).terms.items()}))
     code, out, err = run(capsys, "char", "--m", "2", "--n", "2",
                          "--lambda", "1,1", "--mu", "-1,-1")
     assert (code, out) == (4, "")
-    assert err.startswith("error: invariant violated: Kac coordinate (")
+    assert err.startswith("error: invariant violated: g0 block (")
     assert err.count("\n") == 1
 
 
@@ -415,9 +429,9 @@ def test_full_verify_computes_each_character_once(capsys, monkeypatch):
     # oracle, variants and supersymmetry check the same classic characters
     # and kac and supersymmetry the same Kac characters of the 325 grid
     # weights: one run makes 650 engine runs (classic and reduced), not
-    # 1,300, and 325 Kac characters, not 650.  The engine's Kac coordinates
-    # are counted, not alternate_tail, which the Kac characters and oracles
-    # run through too
+    # 1,300, and 325 Kac characters, not 650.  The engine's g0 blocks are
+    # counted, not the tail, which the Kac characters and oracles run
+    # through too
     counts = {"engine": 0, "kac": 0}
 
     def counted(key, fn):
@@ -427,8 +441,8 @@ def test_full_verify_computes_each_character_once(capsys, monkeypatch):
         wrapper.__name__ = fn.__name__
         return wrapper
 
-    monkeypatch.setattr(superchar.charring, "kac_coordinates",
-                        counted("engine", superchar.charring.kac_coordinates))
+    monkeypatch.setattr(superchar.charring, "g0_blocks",
+                        counted("engine", superchar.charring.g0_blocks))
     monkeypatch.setattr(cli, "kac_char", counted("kac", cli.kac_char))
     code, _, _ = run(capsys, "verify")
     assert code == 0

@@ -1,5 +1,5 @@
-"""The shared alternation tail and the exact truncation witness of the
-formula engine."""
+"""The shared alternation tail, its paired columns, and the formula engine
+against its series reference."""
 
 import itertools
 import random
@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 from superchar import charring
 from superchar.capgraph import ThetaPoly
 from superchar.charring import (
-    TruncationInstability,
     Window,
+    _acc,
     _fold,
     _numerator,
     _strips,
+    _tail_blocks,
     alternate_tail,
     auto_depth,
+    chi_plus_rho_exponent,
+    g0_blocks,
     irreducible_char,
     kac_char,
 )
@@ -26,6 +29,7 @@ from superchar.oracle import oracle_char, oracle_char_lattice
 from superchar.weights import HighestWeight, InvariantError, diagram_of_weight, rho
 
 from helpers import (
+    blocks_by_binomials,
     dominant_weights,
     irreducible_char_unfolded,
     restrict,
@@ -156,14 +160,73 @@ def test_irreducible_char_matches_unfolded_series(chi, variant):
 
 
 def test_non_integral_character_raises(monkeypatch):
-    # theta scaled by 1/3: the engine's Kac coordinates are the character's
-    # over 3, and the one of chi + rho is 1/3
+    # theta scaled by 1/3: the engine's g0 blocks are the character's over
+    # 3, and the one of chi + rho is 1/3
     original = charring.theta
     monkeypatch.setattr(charring, "theta", lambda forest: ThetaPoly(
         forest.r, {e: c / 3 for e, c in original(forest).terms.items()}))
     chi = HighestWeight(2, 2, (1, 1), (-1, -1))
-    with pytest.raises(InvariantError, match=r"Kac coordinate \(.*\) has the non-integer coefficient"):
+    with pytest.raises(InvariantError, match=r"g0 block \(.*\) has the non-integer multiplicity"):
         irreducible_char(chi)
+
+
+@st.composite
+def _paired_cases(draw):
+    """An int numerator, r disjoint atypical roots eps_i - delta_j and an
+    odd-degree slice."""
+    m, n = draw(st.sampled_from([shape for shape in SHAPES if max(shape) <= 3]))
+    r = draw(st.integers(0, min(m, n)))
+    evens = draw(st.permutations(range(m)))[:r]
+    odds = draw(st.permutations(range(m, m + n)))[:r]
+    alphas = tuple(tuple(1 if s == i else -1 if s == j else 0 for s in range(m + n))
+                   for i, j in zip(evens, odds))
+    num = draw(st.dictionaries(st.tuples(*[st.integers(-3, 3)] * (m + n)),
+                               st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=6))
+    lo = draw(st.integers(-3 * n, 2 * n))
+    return m, n, num, alphas, lo, lo + draw(st.integers(0, m * n))
+
+
+def _inversions(seq):
+    return sum(a < b for k, a in enumerate(seq) for b in seq[k + 1:])
+
+
+def _relabelled(m, n, num, alphas):
+    """num in _tail_blocks' paired layout: the even block lists the slots no
+    root touches, sorted descending, then the roots' even slots; the odd
+    block the roots' odd slots, then the rest.  Each term carries the sign
+    of the relabelling and of the sort; a repeat among the sorted slots
+    dies."""
+    evens = [alpha.index(1) for alpha in alphas]
+    odds = [alpha.index(-1) for alpha in alphas]
+    order = ([s for s in range(m) if s not in evens] + evens
+             + odds + [s for s in range(m, m + n) if s not in odds])
+    free = m - len(alphas)
+    out = {}
+    for v, c in num.items():
+        w = [v[s] for s in order]
+        if len(set(w[:free])) == free:
+            sign = (-1) ** (_inversions(order[::-1]) + _inversions(w[:free]))
+            _acc(out, tuple(sorted(w[:free], reverse=True)) + tuple(w[free:]), sign * c)
+    return out
+
+
+@settings(max_examples=100)
+@given(_paired_cases())
+def test_paired_columns_match_binomial_reference(case):
+    m, n, num, alphas, lo, hi = case
+    expected = {v: c for v, c in blocks_by_binomials(m, n, num, alphas).items()
+                if lo <= sum(v[m:]) <= hi}
+    assert _tail_blocks(m, n, _relabelled(m, n, num, alphas), lo, hi,
+                        paired=len(alphas)) == expected
+
+
+@pytest.mark.parametrize("variant", ["classic", "reduced"])
+def test_trivial_weights_are_one_block(variant):
+    # gl(k|k) trivial is atypical of degree k: every odd column is paired,
+    # and the module is the one block chi + rho
+    for k in range(1, 7):
+        chi = HighestWeight(k, k, (0,) * k, (0,) * k)
+        assert g0_blocks(chi, variant) == {chi_plus_rho_exponent(chi): 1}, k
 
 
 def test_strips_match_all_subsets():
@@ -220,21 +283,21 @@ WITNESS_CASES = dominant_weights(2, 2, -1, 1) + [
 
 @pytest.mark.parametrize("variant", ["classic", "reduced"])
 def test_witness_is_exact_at_the_bound(variant):
+    # the engine truncates no series, so a depth below the series bound, at
+    # it and 'auto' all give the character of the unfolded series reference
     checked = 0
     for chi in WITNESS_CASES:
         bound = _series_bound(chi, variant)
         if bound is None:
             continue
+        expected = irreducible_char_unfolded(chi, variant)
         _, alphas, _, _ = _numerator(chi, variant)
         if not alphas:
-            # typical weight: no series, so no depth can cut one
-            assert irreducible_char(chi, variant, depth=0) == irreducible_char(chi, variant)
+            # typical weight: no series at all
+            assert irreducible_char(chi, variant, depth=0) == expected
             continue
-        with pytest.raises(TruncationInstability) as exc:
-            irreducible_char(chi, variant, depth=bound - 1)
-        assert exc.value.suggested_depth == bound, chi
-        assert (irreducible_char(chi, variant, depth=bound)
-                == irreducible_char(chi, variant)), chi
+        for depth in (bound - 1, bound, "auto"):
+            assert irreducible_char(chi, variant, depth=depth) == expected, (chi, depth)
         checked += 1
     assert checked >= 5
 

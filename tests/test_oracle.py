@@ -11,10 +11,11 @@ from superchar.charring import (
     CharPoly,
     Window,
     alt_J,
+    _tail_blocks,
     chi_plus_rho_exponent,
+    g0_blocks,
     irreducible_char,
     kac_char,
-    kac_coordinates,
 )
 from superchar.latticegen import enumerate_lattice, polyhedron_of_forest
 from superchar.oracle import (
@@ -245,35 +246,34 @@ COORDINATE_WEIGHTS = ([chi for m, n in [(1, 1), (2, 1), (1, 2), (2, 2)]
 
 
 def test_kac_coordinates_agree_across_routes():
-    # the engine's folded series (the vertex cones), the reduced variant's,
-    # the Su-Zhang relocations and the polyhedron's lattice points give one
-    # set of Kac coordinates on the band [slice_lo - m*n, slice_hi] that can
-    # reach the slice; the windowed oracles check the characters end to end
+    # the g0 blocks of L(chi) four ways: the engine's classic and reduced
+    # numerators through the paired columns, and the Su-Zhang relocations'
+    # and the polyhedron's lattice points' Kac coordinates through the
+    # shared tail on the character's odd-degree slice; the windowed oracles
+    # check the characters end to end
     assert len(COORDINATE_WEIGHTS) == 620
     reduced = 0
     for chi in COORDINATE_WEIGHTS:
         m, n = chi.m, chi.n
         f = diagram_of_weight(chi)
-        coords, lo, hi = kac_coordinates(chi)
-        assert (lo, hi) == (sum(chi_plus_rho_exponent(chi)[m:]), lo + m * n), chi
-
-        def on_band(c):
-            return {v: x for v, x in c.items() if lo - m * n <= sum(v[m:]) <= hi}
-
-        assert on_band(coords) == coords, chi
-        routes = {"relocations": kac_coordinates_by_relocations(f),
-                  "lattice": kac_coordinates_by_lattice(f)}
+        top = chi_plus_rho_exponent(chi)
+        lo = sum(top[m:])
+        blocks = g0_blocks(chi)
+        assert blocks[top] == 1, chi
+        assert all(type(c) is int and c > 0 for c in blocks.values()), (chi, blocks)
+        routes = {"relocations": _tail_blocks(m, n, kac_coordinates_by_relocations(f),
+                                              lo, lo + m * n),
+                  "lattice": _tail_blocks(m, n, kac_coordinates_by_lattice(f), lo, lo + m * n)}
         try:
-            routes["reduced"] = kac_coordinates(chi, "reduced")[0]
+            routes["reduced"] = g0_blocks(chi, "reduced")
             reduced += 1
         except ValueError:
             pass  # the reduced variant does not cover this weight
         for route, got in routes.items():
-            got = on_band(got)
-            bad = sorted((v for v in coords.keys() | got.keys()
-                          if coords.get(v, 0) != got.get(v, 0)), reverse=True)
-            assert not bad, (f"{chi}: {route} gives {got.get(bad[0], 0)} at Kac "
-                             f"coordinate {bad[0]}, classic {coords.get(bad[0], 0)}")
+            bad = sorted((v for v in blocks.keys() | got.keys()
+                          if blocks.get(v, 0) != got.get(v, 0)), reverse=True)
+            assert not bad, (f"{chi}: {route} gives {got.get(bad[0], 0)} at g0 "
+                             f"block {bad[0]}, classic {blocks.get(bad[0], 0)}")
     assert reduced > 300
 
 

@@ -16,7 +16,7 @@ def _imported_modules(path):
 
 def test_only_capgraph_imports_fractions():
     # theta's vertex-cone weights are the only rationals: the formula engine
-    # scales them to ints and divides the scale out of each Kac coordinate
+    # scales them to ints and divides the scale out of each g0 block
     # exactly, so characters, the character ring and the CLI carry ints
     users = sorted(path.name for path in SRC.glob("*.py")
                    if any(name.split(".")[0] == "fractions" for name in _imported_modules(path)))
@@ -24,9 +24,9 @@ def test_only_capgraph_imports_fractions():
 
 
 def test_only_alt_J_and_the_lattice_oracle_fold():
-    # the alternation tail takes Kac coordinates, both blocks strictly
-    # decreasing: the engine's series and the relocations make them folded,
-    # and only a plain alternant sum folds its terms itself
+    # the alternation tail takes folded terms: the relocations give Kac
+    # coordinates, the engine sorts its numerator's untouched even slots
+    # itself, and only a plain alternant sum folds its terms whole
     users = sorted(f"{path.stem}.{node.name}" for path in SRC.glob("*.py")
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.FunctionDef)
