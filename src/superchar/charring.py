@@ -10,7 +10,8 @@ numerator -> paired and Pieri odd columns -> g0 blocks -> expansion.  The
 odd factor's atypical binomials cancel the paper's geometric series
 exactly, so no series is expanded and nothing is truncated (g0_blocks); the
 only rationals, theta's coefficients, are scaled to integers for the tail
-and divided out of each g0 block exactly.
+and divided out of each g0 block exactly.  Every caller of the tail cuts
+its sum at an odd-degree slice; a window restricts only the expansion.
 """
 
 from __future__ import annotations
@@ -374,8 +375,8 @@ def _schur_block(lam: tuple[int, ...], box: tuple[tuple[int, int], ...] | None =
 
 
 # ---------------------------------------------------------------------------
-# the alternation tail shared by the formula engine, the Kac sums and the
-# lattice oracle
+# the alternation tail shared by the formula engine, the Kac characters and
+# both oracles
 
 @lru_cache(maxsize=1024)
 def _strips(block: Vec) -> tuple[tuple[Vec, ...], ...]:
@@ -430,8 +431,7 @@ def _paired_strips(prefix: Vec, value: int, free: Vec
 
 
 def _tail_blocks(m: int, n: int, terms: dict[Vec, object],
-                 slice_lo: int, slice_hi: int, window: Window | None = None,
-                 paired: int = 0) -> dict[Vec, object]:
+                 slice_lo: int, slice_hi: int, paired: int = 0) -> dict[Vec, object]:
     """The g0 blocks {omega: c} of J(terms * Q') on odd degrees [slice_lo,
     slice_hi]: its folded terms, c the multiplicity of the gl(m)+gl(n)
     irreducible L0(omega - rho) (_expand_blocks).  Q' is the product of the
@@ -469,17 +469,7 @@ def _tail_blocks(m: int, n: int, terms: dict[Vec, object],
     paired one k in [0, m - 1]; with room `left` in the columns after it the
     term ends in [d + k, d + k + left], so keeping d + k in [slice_lo -
     left, slice_hi] drops exactly the terms that cannot end in the slice.
-    A window clips the slice, exactly: the odd block of omega - rho is
-    homogeneous of degree deg(omega) - sum(rho_delta), deg the odd degree,
-    so omega has a weight in the window only if that degree lies between the
-    sums of the window's odd lower bounds and of its odd upper bounds.
     """
-    if window is not None:
-        shift = sum(rho(m, n).delta_part)
-        slice_lo = max(slice_lo, sum(lo for lo, _ in window.delta) + shift)
-        slice_hi = min(slice_hi, sum(hi for _, hi in window.delta) + shift)
-        if slice_lo > slice_hi:
-            return {}
     terms = {v: c for v, c in terms.items()
              if slice_lo - m * n + paired <= sum(v[m:]) <= slice_hi}
     for j in range(n):
@@ -548,11 +538,11 @@ def alternate_tail(m: int, n: int, coords: dict[Vec, object],
     """Sum of c * ch K(omega - rho) over Kac coordinates omega (each block
     strictly decreasing) with coefficients c, restricted to odd degree
     [slice_lo, slice_hi]: J(coords * Q) divided by e^rho * prod_even
-    (1 - e^{-alpha}), the numerator of the normalized denominator pair; with
-    a window, only its terms inside the window.  The g0 blocks of the Kac
-    modules (_tail_blocks), expanded (_expand_blocks)."""
-    return _expand_blocks(m, n, _tail_blocks(m, n, coords, slice_lo, slice_hi, window),
-                          window)
+    (1 - e^{-alpha}), the numerator of the normalized denominator pair.  The
+    g0 blocks of the Kac modules on the slice (_tail_blocks), expanded
+    (_expand_blocks); a window restricts the expansion only, so the caller's
+    slice is the one cutoff of the sum."""
+    return _expand_blocks(m, n, _tail_blocks(m, n, coords, slice_lo, slice_hi), window)
 
 
 @lru_cache(maxsize=None)
@@ -566,39 +556,31 @@ def gt_multiplicity(lam: tuple[int, ...], w: Vec) -> int:
 # ---------------------------------------------------------------------------
 # Kac characters
 
-def kac_sum(m: int, n: int, coeffs: dict[Vec, int],
-            window: Window | None = None) -> CharPoly:
-    """Sum of c * ch K(omega - rho) over a map from Kac coordinates omega
-    (chi + rho as chi_plus_rho_exponent writes it) to coefficients c,
-    restricted to a window if one is given.
-
-    ch K(chi) = Q * ch L0(chi), and by Weyl's formula ch L0(chi) is
+def _kac_tail(f: WeightDiagram, window: Window | None) -> CharPoly:
+    """ch K(chi) = Q * ch L0(chi), and by Weyl's formula ch L0(chi) is
     J(e^(chi+rho)) over the tail's denominator.  Q is W0-invariant, so
     ch K(chi) is the alternation tail on one term, the Kac coordinate
-    chi + rho, over a slice that holds every odd degree: Q raises it by 0
-    to m*n.
-    """
-    if not coeffs:
-        return CharPoly.zero(m, n)
-    degrees = [sum(v[m:]) for v in coeffs]
-    return alternate_tail(m, n, coeffs, min(degrees), max(degrees) + m * n, window)
+    omega = chi + rho, over the slice [deg omega, deg omega + m*n], deg the
+    odd degree: Q raises it by 0 to m*n, so the slice holds every term."""
+    chi = weight_from_diagram(f)
+    omega = chi_plus_rho_exponent(chi)
+    lo = sum(omega[chi.m:])
+    return alternate_tail(chi.m, chi.n, {omega: 1}, lo, lo + chi.m * chi.n, window)
 
 
 def kac_char(f: WeightDiagram) -> CharPoly:
     """Character of the Kac module of a diagram: the alternation tail shared
     with the formula engine and both oracles, on one Kac coordinate
-    (kac_sum).  `verify --only kac` and the tests check it against the
+    (_kac_tail).  `verify --only kac` and the tests check it against the
     alternant form, whose odd factor is the full product q_odd_product."""
-    chi = weight_from_diagram(f)
-    return kac_sum(chi.m, chi.n, {chi_plus_rho_exponent(chi): 1})
+    return _kac_tail(f, None)
 
 
 def kac_char_window(f: WeightDiagram, window: Window) -> CharPoly:
     """Kac character restricted to a box, computed without expanding the whole
-    module: the shared tail clips its slice to the box and expands each Schur
-    block inside it only (kac_sum, alternate_tail)."""
-    chi = weight_from_diagram(f)
-    return kac_sum(chi.m, chi.n, {chi_plus_rho_exponent(chi): 1}, window)
+    module: the shared tail on its one Kac coordinate (_kac_tail) expands
+    each Schur block inside the box only."""
+    return _kac_tail(f, window)
 
 
 # ---------------------------------------------------------------------------

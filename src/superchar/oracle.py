@@ -3,15 +3,15 @@ filtration-convergent sum of Kac characters indexed by order-preserving
 injections of the crosses.
 
 Every result of the closed formula engines is checked against this expansion.
-Inside a window the sum is finite: a proved per-value cutoff (the block-sum
-bound of `oracle_char`) drops exactly the relocations whose Kac characters
-cannot reach the window, so one enumeration gives the exact windowed result.
-Each relocation goes straight to its Kac coordinate chi + rho, read off its
-values and the core symbols without building its image diagram or weight.
-The signed Kac characters are summed in one Kac sum, which runs the
-alternation tail the engine and the lattice route share once on the merged
-Kac coordinates.  This route takes its nesting order from the caps
-directly, so it checks the caps and the forest end to end.  The shared
+On the character's odd-degree slice the sum is finite: one proved cutoff
+(_slice), shared by both routes below, drops exactly the relocations that
+end above the slice, so one enumeration gives the exact sum, and a window
+restricts only its final expansion.  Each relocation goes straight to its
+Kac coordinate chi + rho, read off its values and the core symbols without
+building its image diagram or weight.  The signed Kac characters are summed
+by running the alternation tail the engine and the lattice route share once
+on the merged Kac coordinates.  This route takes its nesting order from the
+caps directly, so it checks the caps and the forest end to end.  The shared
 tail's odd factor is checked against the fully expanded product by
 `verify --only kac`.
 
@@ -35,7 +35,6 @@ from .charring import (
     _acc,
     _fold,
     alternate_tail,
-    kac_sum,
 )
 from .latticegen import enumerate_lattice, polyhedron_of_forest
 from .weights import CROSS, GREATER, LESS, WeightDiagram, position_exponents
@@ -108,65 +107,44 @@ def epsilon_sign(f: WeightDiagram, wm: WeightMap) -> int:
     return -1 if total % 2 else 1
 
 
-def _suggested_cutoff(f: WeightDiagram, window: Window) -> int:
-    """The proved cutoff bound of oracle_char for a diagram with crosses: no
-    relocation with a value below it can contribute inside the window."""
-    crosses = f.crosses
-    m = f.m
-    # Kac character terms have even-block sum in [sum(lam(g)) - m*n, sum(lam(g))],
-    # with sum(lam(g)) = sum(values) + sum(core '>') + m(m-1)/2.
-    window_lo = sum(lo for lo, _ in window.eps)
-    a_core = sum(f.greater_positions)
-    value_sum_lo = window_lo - m * (m - 1) // 2 - a_core
-    return min(value_sum_lo - (sum(crosses) - min(crosses)) - 1, min(crosses))
+def _slice(f: WeightDiagram) -> tuple[int, int, int]:
+    """(slice_lo, slice_hi, cutoff): the odd-degree slice of ch L(f) and the
+    one cutoff of both oracle routes, which is exact for every window.
 
-
-def _window_reachable(omega: tuple[int, ...], window: Window) -> bool:
-    """Exact even-block-sum test: can any term of the Kac character with
-    Kac coordinate omega (A then -B, chi + rho) fall in the box?  Its
-    highest weight has even-block sum sum(A) + m(m-1)/2.  The odd-block sum
-    needs no test here: kac_sum's tail clips its slice to the window's
-    odd-degree range."""
-    m, n = len(window.eps), len(window.delta)
-    lam_sum = sum(omega[:m]) + m * (m - 1) // 2
-    # odd factor lowers the even-block sum by at most m*n
-    return (sum(lo for lo, _ in window.eps) <= lam_sum
-            <= sum(hi for _, hi in window.eps) + m * n)
+    slice_lo = -sum(crosses and '<' positions) is the odd degree of chi +
+    rho, and slice_hi = slice_lo + m*n; L(f) is a quotient of its Kac
+    module, so its character lives in the slice.  Each route moves every
+    cross c to a value x <= c, and its term (a relocation's Kac coordinate,
+    a lattice point's alternant) has odd degree slice_lo + sum(c - x), which
+    Q only raises.  A value below cutoff = min(crosses) - m*n makes sum(c -
+    x) > m*n, so such a term ends above slice_hi: the terms with every
+    value at or above the cutoff give the whole sum on the slice.  Without
+    crosses the cutoff is -m*n, and nothing moves.
+    """
+    mn = f.m * f.n
+    slice_lo = -sum(f.crosses) - sum(f.less_positions)
+    return slice_lo, slice_lo + mn, (min(f.crosses) if f.crosses else 0) - mn
 
 
 def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
     """Signed sum of Kac characters over all relocations with values at or
-    above the cutoff B = _suggested_cutoff(f, window), restricted to the
-    window.  Each relocation's Kac coordinate is read off directly: A is
-    its values and the '>' positions, descending, B its values and the '<'
-    positions, ascending, and the coordinate is A then -B.  Relocation
-    signs are accumulated per coordinate (equal images merge, cancelling
-    ones drop), and the signed Kac characters are summed in one kac_sum
-    call, which runs the shared alternation tail once on the merged Kac
-    coordinates.
-
-    The cutoff is exact.  B is min(value_sum_lo - (sum(crosses) -
-    min(crosses)) - 1, min(crosses)), where value_sum_lo is the lowest value
-    sum whose image can reach the window's lowest even-block sum.  Take a
-    relocation with some value v < B.  Every other value is at most its own
-    cross, so the value sum is at most v + sum(crosses) - min(crosses) <
-    value_sum_lo.  The image diagram g then has sum(lam(g)) = sum(values) +
-    sum(core '>') + m(m-1)/2 below the window's lowest even-block sum, while
-    every term of ch K(g) has even-block sum at most sum(lam(g)).  So its Kac
-    character misses the window (_window_reachable), and the relocations
-    with all values >= B give the whole windowed sum.  A diagram without
-    crosses has one relocation, the empty one.
+    above the cutoff (_slice), on the character's odd-degree slice,
+    restricted to the window.  Each relocation's Kac coordinate is read off
+    directly: A is its values and the '>' positions, descending, B its
+    values and the '<' positions, ascending, and the coordinate is A then
+    -B.  Relocation signs are accumulated per coordinate (equal images
+    merge, cancelling ones drop), and the shared alternation tail runs once
+    on the merged Kac coordinates; the window restricts its expansion only.
     """
-    cutoff = _suggested_cutoff(f, window) if f.crosses else 0
+    slice_lo, slice_hi, cutoff = _slice(f)
     greater, less = f.greater_positions, f.less_positions
     coeffs: dict[tuple[int, ...], int] = {}
     for wm in enumerate_weight_maps(f, cutoff):
         values = tuple(wm.phi.values())
         omega = (tuple(sorted(values + greater, reverse=True))
                  + tuple(-b for b in sorted(values + less)))
-        if _window_reachable(omega, window):
-            _acc(coeffs, omega, epsilon_sign(f, wm))
-    return kac_sum(f.m, f.n, coeffs, window)
+        _acc(coeffs, omega, epsilon_sign(f, wm))
+    return alternate_tail(f.m, f.n, coeffs, slice_lo, slice_hi, window)
 
 
 def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
@@ -176,25 +154,21 @@ def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
     commutes with multiplying by the W0-invariant Q and the slice is
     W0-stable, so J(sum * Q) = J(fold(sum) * Q): the shared tail
     (alternate_tail) gets the sum folded onto Kac coordinates, and the
-    window, inside which alone it expands each Schur block.  Sign
+    window, inside which alone it expands each g0 block.  Sign
     conventions are coded independently of epsilon_sign.
 
     Each position's exponent vector (position_exponents) is weighted by its
     coordinate: a cross by x, a core symbol by its own position, which gives
-    one constant shift.  The cutoff min(crosses) - m*n is exact: a value x
-    never exceeds its cross c and a point's odd degree is base_delta +
-    sum(c - x), so a value below the cutoff puts the point above
-    slice_hi = base_delta + m*n, where the slice check drops it."""
+    one constant shift.  The slice and the cutoff are oracle_char's
+    (_slice); a point's odd degree is slice_lo + sum(c - x), and the points
+    that end above slice_hi are dropped before the fold."""
     m, n = f.m, f.n
-    crosses = f.crosses
     exps = position_exponents(f)
-    cross_vecs = [exps[c] for c in crosses]
+    cross_vecs = [exps[c] for c in f.crosses]
     shift = [sum(p * exps[p][t] for p in f.core_positions) for t in range(m + n)]
-    base_delta = sum(p * sum(v[m:]) for p, v in exps.items())
-    slice_lo, slice_hi = base_delta, base_delta + m * n
-    cutoff = (min(crosses) if crosses else 0) - m * n
+    slice_lo, slice_hi, cutoff = _slice(f)
 
-    sign_f = -1 if sum(crosses) % 2 else 1
+    sign_f = -1 if sum(f.crosses) % 2 else 1
     terms = []
     for x in enumerate_lattice(polyhedron_of_forest(gamma(cap_diagram(f))), cutoff):
         vec = list(shift)

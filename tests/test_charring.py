@@ -12,6 +12,7 @@ from superchar.charring import (
     ExactDivisionError,
     Window,
     alt_J,
+    alternate_tail,
     auto_depth,
     chi_plus_rho_exponent,
     dhat_denominator,
@@ -25,7 +26,6 @@ from superchar.charring import (
     is_w0_symmetric,
     kac_char,
     kac_char_window,
-    kac_sum,
     odd_positive_roots,
     q_odd_product,
     supersymmetry_check,
@@ -227,9 +227,13 @@ def _random_kac_coeffs(rng, m, n):
     return {chi: rng.choice((-2, -1, 1, 3)) for chi in chosen}
 
 
-def _kac_coordinates(coeffs):
-    """kac_sum's input: each highest weight chi as its Kac coordinate chi + rho."""
-    return {chi_plus_rho_exponent(chi): c for chi, c in coeffs.items()}
+def _kac_sum(m, n, coeffs, window=None):
+    """Sum of c * ch K(chi) through the shared tail: each highest weight chi
+    as its Kac coordinate chi + rho, on the odd degrees [min deg, max deg +
+    m*n], which hold every term of every Kac module."""
+    coords = {chi_plus_rho_exponent(chi): c for chi, c in coeffs.items()}
+    degrees = [sum(v[m:]) for v in coords]
+    return alternate_tail(m, n, coords, min(degrees), max(degrees) + m * n, window)
 
 
 KAC_SUM_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)]
@@ -253,7 +257,7 @@ def test_kac_sum_window_matches_restricted_sum(m, n):
         expected = restrict(full, window)
         hits += not expected.is_zero()
         misses += expected.is_zero()
-        assert kac_sum(m, n, _kac_coordinates(coeffs), window) == expected, (coeffs, window)
+        assert _kac_sum(m, n, coeffs, window) == expected, (coeffs, window)
     assert hits and misses
 
 
@@ -267,7 +271,7 @@ def test_kac_sum_matches_product_route(m, n):
         expected = CharPoly.zero(m, n)
         for chi, c in coeffs.items():
             expected = expected + scale(weyl0_character(chi) * q_odd_product(m, n), c)
-        assert kac_sum(m, n, _kac_coordinates(coeffs)) == expected, coeffs
+        assert _kac_sum(m, n, coeffs) == expected, coeffs
 
 
 def test_ev_map_gl33():

@@ -6,7 +6,7 @@ import pathlib
 import re
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import superchar
@@ -273,6 +273,60 @@ def test_bad_lengths_exit_2(capsys):
 def test_missing_weight_exits_2(capsys):
     code, _, err = run(capsys, "char", "--format", "json")
     assert code == 2
+
+
+# one list entry: an integer with |x| <= 9, or something that is not one
+_ENTRY = st.one_of(st.integers(-9, 9).map(str),
+                   st.sampled_from(["", " ", "x", "1.5", "--", "-", "+2", "1e3"]))
+# at most two entries with any separators, stray ':' and ',' included; three
+# entries would allow gl(3|3) weights with labels near 9, whose Kac modules
+# have ~10^10 terms and hang like huge labels do until the work is bounded
+_LIST = st.lists(st.tuples(_ENTRY, st.sampled_from(["", ",", ":", ",,", ", ", ":,"])),
+                 max_size=2).map(lambda parts: "".join(e + sep for e, sep in parts))
+_NOISE = st.one_of(
+    st.tuples(st.sampled_from(["--m", "--n"]), _ENTRY),
+    st.tuples(st.sampled_from(["--lambda", "--mu", "--ab"]), _LIST),
+    st.tuples(st.just("--ab"), st.tuples(_LIST, _LIST).map(":".join)),
+    st.tuples(st.sampled_from(["--format", "--variant"]),
+              st.sampled_from(["text", "json", "latex", "classic", "reduced", ""])))
+
+
+def _int_list(k):
+    return st.lists(st.integers(-9, 9), min_size=k, max_size=k).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+# a well-formed weight (its lists may still be non-increasing or repeat a
+# label), so that some soups parse and run
+_WEIGHT = st.one_of(
+    st.tuples(_int_list(1) | _int_list(2), _int_list(1) | _int_list(2)).map(
+        lambda ab: [("--ab", ":".join(ab))]),
+    st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(lambda mn: st.tuples(
+        _int_list(mn[0]), _int_list(mn[1])).map(lambda lm: [
+            ("--m", str(mn[0])), ("--n", str(mn[1])), ("--lambda", lm[0]), ("--mu", lm[1])])))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["char", "kac", "diagram", "theta", "proj", "verify"]),
+       st.tuples(st.just([]) | _WEIGHT, st.lists(_NOISE, max_size=4)).flatmap(
+           lambda parts: st.permutations(parts[0] + parts[1])))
+def test_weight_flag_soups_exit_0_or_2(command, flags):
+    # duplicates, empty lists, stray separators, non-integers and
+    # non-increasing lists on every command and format: the CLI prints a
+    # result (0) or refuses on stderr (2, argparse's refusals included),
+    # and never raises; verify takes no weight flag, so it always refuses
+    # one (alone it would run every suite)
+    assume(command != "verify" or any(flag != "--format" for flag, _ in flags))
+    argv = [command] + [tok for flag in flags for tok in flag]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert bool(err.getvalue()) == (code == 2), (argv, code)
+    assert bool(out.getvalue()) == (code == 0), (argv, code)
 
 
 def _exits_2_unrecognized(capsys, argv, rest):

@@ -25,8 +25,6 @@ from superchar.oracle import (
     oracle_char,
     oracle_char_lattice,
     orthogonality_report,
-    _suggested_cutoff,
-    _window_reachable,
 )
 from superchar.weights import (
     CROSS,
@@ -149,14 +147,15 @@ def test_oracle_typical_is_kac():
 
 
 def test_oracle_char_makes_one_kac_sum_call(monkeypatch):
+    # the Kac sum is one run of the shared tail on the merged coordinates
     calls = []
-    real = oracle_module.kac_sum
+    real = oracle_module.alternate_tail
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(oracle_module, "kac_sum", counting)
+    monkeypatch.setattr(oracle_module, "alternate_tail", counting)
     chi = HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3))
     ch = irreducible_char(chi)
     assert oracle_char(diagram_of_weight(chi), Window.hull(ch)) == ch
@@ -178,9 +177,13 @@ GL33_WEIGHTS = [HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3)),
                 HighestWeight(3, 3, (3, 2, 2), (-1, -2, -3))]
 
 
+class _Captured(Exception):
+    pass
+
+
 def _cutoff_cases():
     """Atypical weights of the verify grids and of gl(3|3), each with its
-    hull window and the proved cutoff bound of oracle_char."""
+    hull window."""
     weights = [chi for (m, n) in [(1, 1), (2, 1), (2, 2)]
                for chi in dominant_weights(m, n, -2, 2)] + GL33_WEIGHTS
     for chi in weights:
@@ -188,22 +191,29 @@ def _cutoff_cases():
         if not f.crosses:
             continue
         window = Window.hull(irreducible_char(chi), margin=1)
-        yield chi, f, window, _suggested_cutoff(f, window)
+        yield chi, f, window
 
 
-def test_relocations_below_cutoff_bound_miss_the_window():
+def test_relocations_below_cutoff_bound_miss_the_window(monkeypatch):
+    # the cutoff oracle_char would enumerate down to
+    def capture(f, cutoff):
+        raise _Captured(cutoff)
+
+    monkeypatch.setattr(oracle_module, "enumerate_weight_maps", capture)
     below = 0
-    for chi, f, window, bound in _cutoff_cases():
+    for chi, f, window in _cutoff_cases():
+        with pytest.raises(_Captured) as info:
+            oracle_char(f, window)
+        [bound] = info.value.args
+        assert bound == min(f.crosses) - f.m * f.n, chi
+        # the character's odd degrees end m*n above the odd degree of chi + rho
+        slice_hi = sum(chi_plus_rho_exponent(chi)[f.m:]) + f.m * f.n
         for wm in enumerate_weight_maps(f, bound - 3):
             if min(wm.phi.values()) < bound:
                 below += 1
                 omega = chi_plus_rho_exponent(weight_from_diagram(wm.image_diagram(f)))
-                assert not _window_reachable(omega, window), (chi, wm)
+                assert sum(omega[f.m:]) > slice_hi, (chi, wm)
     assert below  # the enumeration at bound - 3 does reach below the bound
-
-
-class _Captured(Exception):
-    pass
 
 
 def test_lattice_points_below_default_cutoff_leave_the_slice(monkeypatch):
@@ -213,7 +223,7 @@ def test_lattice_points_below_default_cutoff_leave_the_slice(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "enumerate_lattice", capture)
     below = 0
-    for chi, f, window, _ in _cutoff_cases():
+    for chi, f, window in _cutoff_cases():
         with pytest.raises(_Captured) as info:
             oracle_char_lattice(f, window)
         poly, default = info.value.args
@@ -286,6 +296,35 @@ def test_lattice_route_agrees_with_engine():
         ch = irreducible_char(chi)
         window = Window.hull(ch, margin=1)
         assert oracle_char_lattice(f, window) == restrict(ch, window) == ch, chi
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)])
+def test_oracles_on_clipped_windows(m, n):
+    # both routes sum on the character's odd-degree slice and apply the
+    # window at the expansion only, so any box gives the restricted
+    # character: boxes cut around a random term, the second per weight with
+    # its even slots moved 9 up (mostly off the support), the third with its
+    # odd slots moved 9 up (off the slice [|mu|, |mu| + m*n] of odd degrees)
+    rng = random.Random(31 * m + n)
+    lo, hi = (-2, 2) if m * n <= 4 else (-1, 1)
+    kinds = {"hit": 0, "miss": 0, "off the slice": 0}
+    for chi in rng.sample(dominant_weights(m, n, lo, hi), 10):
+        f = diagram_of_weight(chi)
+        ch = irreducible_char(chi)
+        for moved in (range(0), range(m), range(m, m + n)):
+            centre = rng.choice(sorted(ch.terms))
+            box = [(x + 9 * (s in moved) - rng.randint(0, 2),
+                    x + 9 * (s in moved) + rng.randint(0, 2)) for s, x in enumerate(centre)]
+            window = Window(tuple(box[:m]), tuple(box[m:]))
+            expected = restrict(ch, window)
+            if (sum(b for b, _ in box[m:]) > sum(chi.mu) + m * n
+                    or sum(t for _, t in box[m:]) < sum(chi.mu)):
+                kinds["off the slice"] += 1
+            else:
+                kinds["miss" if expected.is_zero() else "hit"] += 1
+            assert oracle_char(f, window) == expected, (chi, window)
+            assert oracle_char_lattice(f, window) == expected, (chi, window)
+    assert all(kinds.values()), kinds
 
 
 def test_all_routes_on_asymmetric_blocks():

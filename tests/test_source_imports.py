@@ -33,3 +33,15 @@ def test_only_alt_J_and_the_lattice_oracle_fold():
                    and any(isinstance(name, ast.Name) and name.id == "_fold"
                            for name in ast.walk(node)))
     assert users == ["charring.alt_J", "oracle.oracle_char_lattice"]
+
+
+def test_only_the_expansion_reads_a_window():
+    # every route cuts its sum at an odd-degree slice, and a window only
+    # restricts the expansion of the g0 blocks: no other function reads a
+    # window's per-slot bounds (Window's fields eps and delta)
+    users = sorted(f"{path.stem}.{node.name}" for path in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef)
+                   and any(isinstance(attr, ast.Attribute) and attr.attr in ("eps", "delta")
+                           for attr in ast.walk(node)))
+    assert users == ["charring._expand_blocks"]
