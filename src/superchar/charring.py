@@ -10,8 +10,11 @@ numerator -> paired and Pieri odd columns -> g0 blocks -> expansion.  The
 odd factor's atypical binomials cancel the paper's geometric series
 exactly, so no series is expanded and nothing is truncated (g0_blocks); the
 only rationals, theta's coefficients, are scaled to integers for the tail
-and divided out of each g0 block exactly.  Every caller of the tail cuts
-its sum at an odd-degree slice; a window restricts only the expansion.
+and divided out of each g0 block exactly.  Every character route is g0
+blocks, then one expansion: the engine, the Kac characters and both oracles
+run the tail (_tail_blocks) on an odd-degree slice, the one cutoff of their
+sums, and expand its blocks (_expand_blocks) through one gl(k) kernel
+(_schur_block); a window only filters the finished Schur blocks.
 """
 
 from __future__ import annotations
@@ -19,11 +22,18 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm
 from operator import add, sub
 
-from .capgraph import gamma, reduced_formula_supported, special_edges, theta, theta_tilde
+from .capgraph import (
+    ThetaPoly,
+    gamma,
+    reduced_formula_supported,
+    special_edges,
+    theta,
+    theta_tilde,
+)
 from .caps import cap_diagram, segment_data
 from .weights import (
     HighestWeight,
@@ -322,55 +332,24 @@ def divide_exact(p: CharPoly, alpha: Vec, plus: bool = False) -> CharPoly:
 # classical block characters (Laurent Schur polynomials)
 
 @lru_cache(maxsize=None)
-def _schur_block(lam: tuple[int, ...], box: tuple[tuple[int, int], ...] | None = None
-                 ) -> tuple[tuple[Vec, int], ...]:
-    """Weight multiplicities of the gl(k) irreducible with highest weight lam
-    inside a box of per-slot exponent intervals (None: the whole block).
+def _schur_block(lam: tuple[int, ...]) -> tuple[tuple[Vec, int], ...]:
+    """Weight multiplicities of the gl(k) irreducible with highest weight lam.
 
     Gelfand-Tsetlin branching: ch L(lam) is the sum, over the rows mu with
     lam_1 >= mu_1 >= lam_2 >= ... >= mu_{k-1} >= lam_k, of
     ch L(mu) * x_k^(|lam| - |mu|), where L(mu) is the gl(k-1) irreducible in
-    x_1 .. x_{k-1}.  Two exact prunes keep the work inside the box.  Every
-    weight lies in the convex hull of the permutations of lam, so each slot is
-    clipped to [lam_k, lam_1], and an empty slot leaves nothing.  A weight
-    from the mu term has last coordinate |lam| - |mu| and its other
-    coordinates sum to |mu|, so only rows whose sum puts the last coordinate
-    in the last slot and lies between the sums of the other slots' bounds are
-    built, pruned on partial sums; each recurses on the box minus its last
-    slot, clipped to [mu_{k-1}, mu_1].  The cache is shared across calls,
-    because sub-blocks recur across blocks, windows and callers.
+    x_1 .. x_{k-1}.  The cache is shared across calls, because sub-blocks
+    recur across blocks and callers.
     """
-    k = len(lam)
-    box = tuple((max(lo, lam[-1]), min(hi, lam[0]))
-                for lo, hi in box or ((lam[-1], lam[0]),) * k)
-    if any(lo > hi for lo, hi in box):
-        return ()
-    if k == 1:
-        return (((lam[0],), 1),)
+    if len(lam) == 1:
+        return ((lam, 1),)
     total = sum(lam)
-    rest = box[:-1]
-    s_lo = max(total - box[-1][1], sum(lo for lo, _ in rest))
-    s_hi = min(total - box[-1][0], sum(hi for _, hi in rest))
-    # the entries mu_i .. mu_{k-2} sum to between rem_lo[i] and rem_hi[i]
-    rem_lo = [sum(lam[i + 1:]) for i in range(k)]
-    rem_hi = [sum(lam[i:k - 1]) for i in range(k)]
     out: dict[Vec, int] = {}
-
-    def rows(i: int, acc: int, mu: Vec) -> None:
-        if i == k - 1:
-            sub = tuple((max(lo, mu[-1]), min(hi, mu[0])) for lo, hi in rest)
-            if sub == ((mu[-1], mu[0]),) * (k - 1):
-                sub = None
-            last = (total - acc,)
-            for w, c in _schur_block(mu, sub):
-                w += last
-                out[w] = out.get(w, 0) + c
-            return
-        for x in range(max(lam[i + 1], s_lo - acc - rem_hi[i + 1]),
-                       min(lam[i], s_hi - acc - rem_lo[i + 1]) + 1):
-            rows(i + 1, acc + x, mu + (x,))
-
-    rows(0, 0, ())
+    for mu in product(*(range(low, high + 1) for high, low in zip(lam, lam[1:]))):
+        last = (total - sum(mu),)
+        for w, c in _schur_block(mu):
+            w += last
+            out[w] = out.get(w, 0) + c
     return tuple(out.items())
 
 
@@ -383,7 +362,7 @@ def _strips(block: Vec) -> tuple[tuple[Vec, ...], ...]:
     """Vertical strips on a strictly decreasing block: entry k lists the
     blocks block - 1_S over the k-subsets S of its slots that stay strictly
     decreasing, i.e. where no lowered slot ends equal to its unlowered right
-    neighbour (alternate_tail).  That neighbour is one below the lowered
+    neighbour (_tail_blocks).  That neighbour is one below the lowered
     slot only inside a run of consecutive entries, so S is valid exactly
     when it meets each maximal run in a suffix of it: one choice of suffix
     length per run, and no candidate is rejected.  The cache is bounded: a
@@ -509,10 +488,19 @@ def _tail_blocks(m: int, n: int, terms: dict[Vec, object],
 def _expand_blocks(m: int, n: int, blocks: dict[Vec, object],
                    window: Window | None = None) -> CharPoly:
     """Sum of c * ch L0(omega - rho) over g0 blocks {omega: c}: the product of
-    the two Laurent Schur blocks of highest weight omega - rho.  A window is
-    a product of per-slot intervals, so each block is expanded inside its
-    half of the window only (_schur_block), which equals the whole expansion
-    restricted to the window."""
+    the two Laurent Schur blocks of highest weight omega - rho (_schur_block).
+    A window is a product of per-slot intervals, so the sum restricted to it
+    is the sum of the blocks' weights inside their halves of the window: a
+    block whose range [lam_k, lam_1] lies in every slot is used whole, any
+    other is filtered weight by weight."""
+
+    def part(lam: Vec, box) -> tuple[tuple[Vec, int], ...]:
+        block = _schur_block(lam)
+        if box is None or all(lo <= lam[-1] and lam[0] <= hi for lo, hi in box):
+            return block
+        return tuple((w, c) for w, c in block
+                     if all(lo <= x <= hi for x, (lo, hi) in zip(w, box)))
+
     r = rho(m, n)
     # group by the even block so each even Schur block is expanded once
     eps_box, delta_box = (window.eps, window.delta) if window else (None, None)
@@ -520,37 +508,23 @@ def _expand_blocks(m: int, n: int, blocks: dict[Vec, object],
     for w, c in blocks.items():
         lam = tuple(map(sub, w[:m], r.eps_part))
         inner = odd_parts.setdefault(lam, {})
-        for vd, cd in _schur_block(tuple(map(sub, w[m:], r.delta_part)), delta_box):
+        for vd, cd in part(tuple(map(sub, w[m:], r.delta_part)), delta_box):
             inner[vd] = inner.get(vd, 0) + c * cd
     out: dict[Vec, object] = {}
     for lam, inner in odd_parts.items():
         odd_terms = [(vd, cd) for vd, cd in inner.items() if cd]
-        for ve, ce in _schur_block(lam, eps_box):
+        for ve, ce in part(lam, eps_box):
             for vd, cd in odd_terms:
                 key = ve + vd
                 out[key] = out.get(key, 0) + ce * cd
     return CharPoly(m, n, out)
 
 
-def alternate_tail(m: int, n: int, coords: dict[Vec, object],
-                   slice_lo: int, slice_hi: int,
-                   window: Window | None = None) -> CharPoly:
-    """Sum of c * ch K(omega - rho) over Kac coordinates omega (each block
-    strictly decreasing) with coefficients c, restricted to odd degree
-    [slice_lo, slice_hi]: J(coords * Q) divided by e^rho * prod_even
-    (1 - e^{-alpha}), the numerator of the normalized denominator pair.  The
-    g0 blocks of the Kac modules on the slice (_tail_blocks), expanded
-    (_expand_blocks); a window restricts the expansion only, so the caller's
-    slice is the one cutoff of the sum."""
-    return _expand_blocks(m, n, _tail_blocks(m, n, coords, slice_lo, slice_hi), window)
-
-
 @lru_cache(maxsize=None)
 def gt_multiplicity(lam: tuple[int, ...], w: Vec) -> int:
-    """Multiplicity of the weight w in the gl(k) irreducible: the branching
-    kernel (_schur_block) on the one-point box at w."""
-    block = _schur_block(lam, tuple((x, x) for x in w))
-    return block[0][1] if block else 0
+    """Multiplicity of the weight w in the gl(k) irreducible with highest
+    weight lam: a lookup in its block (_schur_block)."""
+    return dict(_schur_block(lam)).get(w, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +536,10 @@ def _kac_tail(f: WeightDiagram, window: Window | None) -> CharPoly:
     ch K(chi) is the alternation tail on one term, the Kac coordinate
     omega = chi + rho, over the slice [deg omega, deg omega + m*n], deg the
     odd degree: Q raises it by 0 to m*n, so the slice holds every term."""
-    chi = weight_from_diagram(f)
-    omega = chi_plus_rho_exponent(chi)
-    lo = sum(omega[chi.m:])
-    return alternate_tail(chi.m, chi.n, {omega: 1}, lo, lo + chi.m * chi.n, window)
+    m, n = f.m, f.n
+    omega = chi_plus_rho_exponent(weight_from_diagram(f))
+    lo = sum(omega[m:])
+    return _expand_blocks(m, n, _tail_blocks(m, n, {omega: 1}, lo, lo + m * n), window)
 
 
 def kac_char(f: WeightDiagram) -> CharPoly:
@@ -577,9 +551,9 @@ def kac_char(f: WeightDiagram) -> CharPoly:
 
 
 def kac_char_window(f: WeightDiagram, window: Window) -> CharPoly:
-    """Kac character restricted to a box, computed without expanding the whole
-    module: the shared tail on its one Kac coordinate (_kac_tail) expands
-    each Schur block inside the box only."""
+    """Kac character restricted to a window: the shared tail on its one Kac
+    coordinate (_kac_tail), whose expansion keeps only the weights inside
+    the window."""
     return _kac_tail(f, window)
 
 
@@ -638,31 +612,36 @@ def engine_summand_count(chi: HighestWeight, variant: str = "classic") -> int:
     return 1 << len(special_edges(forest, segment_data(f)))
 
 
+def variant_theta(f: WeightDiagram, variant: str
+                  ) -> tuple[ThetaPoly, int, tuple[int, ...]]:
+    """(theta, nu, shift) of a variant: the classic theta, nu = 0 and no
+    shift, or the reduced theta-tilde with its segment shift (theta_tilde).
+    Raises ValueError on an unknown variant, or on a weight whose nesting
+    forest the reduced formula does not support."""
+    forest = gamma(cap_diagram(f))
+    if variant == "classic":
+        return theta(forest), 0, (0,) * len(f.crosses)
+    if variant != "reduced":
+        raise ValueError(f"unknown variant {variant!r}")
+    sd = segment_data(f)
+    if not reduced_formula_supported(forest, sd):
+        raise ValueError(
+            "reduced variant unsupported: a non-special edge of the "
+            "nesting forest leaves the core subforest (use the classic "
+            "variant for this weight)")
+    return theta_tilde(forest, sd)
+
+
 def _numerator(chi: HighestWeight, variant: str
                ) -> tuple[dict[Vec, object], tuple[Vec, ...], int, int]:
     """e^top * theta(-e^alpha): its terms, the atypical roots, and the
     odd-degree slice of the character."""
-    if variant not in ("classic", "reduced"):
-        raise ValueError(f"unknown variant {variant!r}")
     m, n = chi.m, chi.n
     f = diagram_of_weight(chi)
     vecs = position_exponents(f)
     alphas = tuple(vecs[c] for c in f.crosses)
-    forest = gamma(cap_diagram(f))
-
-    if variant == "classic":
-        th = theta(forest)
-        shift_coeffs = (0,) * len(alphas)
-        global_sign = 1
-    else:
-        sd = segment_data(f)
-        if not reduced_formula_supported(forest, sd):
-            raise ValueError(
-                "reduced variant unsupported: a non-special edge of the "
-                "nesting forest leaves the core subforest (use the classic "
-                "variant for this weight)")
-        th, nu, shift_coeffs = theta_tilde(forest, sd)
-        global_sign = -1 if nu % 2 else 1
+    th, nu, shift_coeffs = variant_theta(f, variant)
+    global_sign = -1 if nu % 2 else 1
 
     top = chi_plus_rho_exponent(chi)
     base_delta = sum(top[m:])

@@ -12,13 +12,13 @@ import functools
 import json
 import sys
 import time
+from itertools import combinations_with_replacement
 
 from .capgraph import gamma, theta, theta_tilde
 from .caps import cap_diagram, family_pairs, render_caps, segment_data
 from .charring import (
     CharPoly,
     Window,
-    _numerator,
     alt_J,
     auto_depth,
     chi_plus_rho_exponent,
@@ -27,6 +27,7 @@ from .charring import (
     irreducible_char,
     kac_char,
     supersymmetry_check,
+    variant_theta,
 )
 from .oracle import oracle_char, orthogonality_report
 from .weights import (
@@ -148,17 +149,12 @@ def _theta_numerator_latex(th) -> str:
 
 
 def _char_latex(chi: HighestWeight, variant: str) -> str:
-    f = diagram_of_weight(chi)
-    forest = gamma(cap_diagram(f))
-    r = len(f.crosses)
-    denom = "".join(f"(1+e^{{-\\alpha_{{{i + 1}}}}})" for i in range(r)) or "1"
+    th, nu, shift = variant_theta(diagram_of_weight(chi), variant)
+    numer = _theta_numerator_latex(th)
+    denom = "".join(f"(1+e^{{-\\alpha_{{{i + 1}}}}})" for i in range(len(shift))) or "1"
     if variant == "classic":
-        th = theta(forest)
-        numer = _theta_numerator_latex(th)
         return (f"D\\,\\mathrm{{ch}}\\,L(\\chi)=\\sum_{{w\\in W_0}}\\varepsilon(w)w"
                 f"\\left(e^{{\\chi+\\rho}}\\,\\frac{{{numer}}}{{{denom}}}\\right)")
-    th, nu, shift = theta_tilde(forest, segment_data(f))
-    numer = _theta_numerator_latex(th)
     gamma_parts = [f"{'' if k == 1 else k}\\alpha_{{{i + 1}}}"
                    for i, k in enumerate(shift) if k]
     gamma_tex = "+" + "+".join(gamma_parts) if gamma_parts else ""
@@ -171,9 +167,9 @@ def cmd_char(args) -> int:
     chi = _weight_from_args(args)
     try:
         if args.format == "latex":  # the closed form needs only theta
-            _numerator(chi, args.variant)
-        else:
-            ch = irreducible_char(chi, variant=args.variant)
+            print(_char_latex(chi, args.variant))
+            return EXIT_OK
+        ch = irreducible_char(chi, variant=args.variant)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -189,8 +185,6 @@ def cmd_char(args) -> int:
             "theta": _theta_json(th),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "latex":
-        print(_char_latex(chi, args.variant))
     else:
         print(f"ch L(chi) for gl({chi.m}|{chi.n}), lambda={list(chi.lam)}, "
               f"mu={list(chi.mu)} [{args.variant}]")
@@ -304,14 +298,8 @@ def cmd_proj(args) -> int:
 # verification suites
 
 def _grid(m: int, n: int, lo: int, hi: int):
-    from itertools import product
-
-    for lam in product(range(hi, lo - 1, -1), repeat=m):
-        if any(lam[i] < lam[i + 1] for i in range(m - 1)):
-            continue
-        for mu in product(range(hi, lo - 1, -1), repeat=n):
-            if any(mu[j] < mu[j + 1] for j in range(n - 1)):
-                continue
+    for lam in combinations_with_replacement(range(hi, lo - 1, -1), m):
+        for mu in combinations_with_replacement(range(hi, lo - 1, -1), n):
             yield HighestWeight(m, n, lam, mu)
 
 

@@ -33,8 +33,9 @@ from .charring import (
     CharPoly,
     Window,
     _acc,
+    _expand_blocks,
     _fold,
-    alternate_tail,
+    _tail_blocks,
 )
 from .latticegen import enumerate_lattice, polyhedron_of_forest
 from .weights import CROSS, GREATER, LESS, WeightDiagram, position_exponents
@@ -136,6 +137,7 @@ def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
     merge, cancelling ones drop), and the shared alternation tail runs once
     on the merged Kac coordinates; the window restricts its expansion only.
     """
+    m, n = f.m, f.n
     slice_lo, slice_hi, cutoff = _slice(f)
     greater, less = f.greater_positions, f.less_positions
     coeffs: dict[tuple[int, ...], int] = {}
@@ -144,7 +146,7 @@ def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
         omega = (tuple(sorted(values + greater, reverse=True))
                  + tuple(-b for b in sorted(values + less)))
         _acc(coeffs, omega, epsilon_sign(f, wm))
-    return alternate_tail(f.m, f.n, coeffs, slice_lo, slice_hi, window)
+    return _expand_blocks(m, n, _tail_blocks(m, n, coeffs, slice_lo, slice_hi), window)
 
 
 def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
@@ -153,9 +155,9 @@ def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
     the position sums, then divide by the normalized denominator.  J
     commutes with multiplying by the W0-invariant Q and the slice is
     W0-stable, so J(sum * Q) = J(fold(sum) * Q): the shared tail
-    (alternate_tail) gets the sum folded onto Kac coordinates, and the
-    window, inside which alone it expands each g0 block.  Sign
-    conventions are coded independently of epsilon_sign.
+    (_tail_blocks) gets the sum folded onto Kac coordinates, and its g0
+    blocks are expanded once, restricted to the window (_expand_blocks).
+    Sign conventions are coded independently of epsilon_sign.
 
     Each position's exponent vector (position_exponents) is weighted by its
     coordinate: a cross by x, a core symbol by its own position, which gives
@@ -177,7 +179,8 @@ def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
                 vec[t] += xi * v[t]
         if sum(vec[m:]) <= slice_hi:
             terms.append((tuple(vec), sign_f * (-1 if sum(x) % 2 else 1)))
-    return alternate_tail(m, n, _fold(m, terms), slice_lo, slice_hi, window)
+    blocks = _tail_blocks(m, n, _fold(m, terms), slice_lo, slice_hi)
+    return _expand_blocks(m, n, blocks, window)
 
 
 # ---------------------------------------------------------------------------

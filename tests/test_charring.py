@@ -12,7 +12,6 @@ from superchar.charring import (
     ExactDivisionError,
     Window,
     alt_J,
-    alternate_tail,
     auto_depth,
     chi_plus_rho_exponent,
     dhat_denominator,
@@ -29,10 +28,12 @@ from superchar.charring import (
     odd_positive_roots,
     q_odd_product,
     supersymmetry_check,
+    _expand_blocks,
     _numerator,
     _schur_block,
+    _tail_blocks,
 )
-from superchar.weights import HighestWeight, diagram_of_weight, position_exponents
+from superchar.weights import HighestWeight, diagram_of_weight, position_exponents, rho
 
 from helpers import (
     dominant_weights,
@@ -142,12 +143,28 @@ def test_gt_multiplicity_matches_tableaux():
         assert gt_multiplicity(lam, tuple([99] + [0] * (len(lam) - 1))) == 0
 
 
+def _expanded_in_box(lam, box):
+    """lam's Schur block restricted to a box through the expansion
+    (_expand_blocks): as the even half of a gl(k|1) g0 block and as the odd
+    half of a gl(1|k) one, the other half the weight 0 in the window [0, 0]."""
+    k = len(lam)
+    r = rho(k, 1)
+    even = _expand_blocks(k, 1, {tuple(map(sum, zip(lam, r.eps_part))) + r.delta_part: 1},
+                          Window(box, ((0, 0),)))
+    r = rho(1, k)
+    odd = _expand_blocks(1, k, {r.eps_part + tuple(map(sum, zip(lam, r.delta_part))): 1},
+                         Window(((0, 0),), box))
+    return {v[:k]: c for v, c in even.terms.items()}, {v[1:]: c for v, c in odd.terms.items()}
+
+
 def test_schur_window_restricts():
     lam = (3, 1, 0)
     box = ((0, 2), (0, 2), (0, 2))
-    expected = {w: c for w, c in ssyt_weight_multiplicities(lam, 3).items()
+    table = ssyt_weight_multiplicities(lam, 3)
+    assert dict(_schur_block(lam)) == table
+    expected = {w: c for w, c in table.items()
                 if all(lo <= x <= hi for x, (lo, hi) in zip(w, box))}
-    assert dict(_schur_block(lam, box)) == expected
+    assert _expanded_in_box(lam, box) == (expected, expected)
 
 
 @lru_cache(maxsize=None)
@@ -187,11 +204,13 @@ def _in_weight_polytope(lam, w):
 
 @given(_blocks_and_boxes())
 def test_schur_window_matches_tableaux_and_division(case):
+    # whole blocks against both references; the box reaches the expansion's
+    # filter, or its whole-block shortcut when it holds [lam_k, lam_1]
     lam, box = case
-    expected = {w: c for w, c in _tableaux(lam).items() if _in_box(w, box)}
-    assert dict(_schur_block(lam, box)) == expected
-    by_division = schur_block_by_division(lam)
-    assert {w: c for w, c in by_division.items() if _in_box(w, box)} == expected
+    table = _tableaux(lam)
+    assert dict(_schur_block(lam)) == table == schur_block_by_division(lam)
+    expected = {w: c for w, c in table.items() if _in_box(w, box)}
+    assert _expanded_in_box(lam, box) == (expected, expected)
 
 
 @given(_blocks_and_boxes())
@@ -233,7 +252,8 @@ def _kac_sum(m, n, coeffs, window=None):
     m*n], which hold every term of every Kac module."""
     coords = {chi_plus_rho_exponent(chi): c for chi, c in coeffs.items()}
     degrees = [sum(v[m:]) for v in coords]
-    return alternate_tail(m, n, coords, min(degrees), max(degrees) + m * n, window)
+    blocks = _tail_blocks(m, n, coords, min(degrees), max(degrees) + m * n)
+    return _expand_blocks(m, n, blocks, window)
 
 
 KAC_SUM_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)]

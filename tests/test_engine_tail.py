@@ -14,11 +14,11 @@ from superchar.capgraph import ThetaPoly
 from superchar.charring import (
     Window,
     _acc,
+    _expand_blocks,
     _fold,
     _numerator,
     _strips,
     _tail_blocks,
-    alternate_tail,
     auto_depth,
     chi_plus_rho_exponent,
     g0_blocks,
@@ -60,8 +60,8 @@ def test_alternate_tail_matches_division_route(m, n, fractions):
         num = _random_numerator(rng, m, n, fractions)
         lo = rng.randint(-3 * n, 2 * n)
         hi = lo + rng.randint(0, m * n)
-        assert (alternate_tail(m, n, _fold(m, num.items()), lo, hi)
-                == tail_by_division(m, n, num, lo, hi)), (num, lo, hi)
+        blocks = _tail_blocks(m, n, _fold(m, num.items()), lo, hi)
+        assert _expand_blocks(m, n, blocks) == tail_by_division(m, n, num, lo, hi), (num, lo, hi)
 
 
 @pytest.mark.parametrize("m,n", SHAPES)
@@ -77,8 +77,8 @@ def test_windowed_tail_is_the_restricted_tail(m, n):
         num = _random_numerator(rng, m, n, rng.random() < 0.3)
         lo = rng.randint(-3 * n, 2 * n)
         hi = lo + rng.randint(0, m * n)
-        coords = _fold(m, num.items())
-        full = alternate_tail(m, n, coords, lo, hi)
+        blocks = _tail_blocks(m, n, _fold(m, num.items()), lo, hi)
+        full = _expand_blocks(m, n, blocks)
         if full.is_zero():
             continue
         hull = Window.hull(full, margin=1)
@@ -105,7 +105,7 @@ def test_windowed_tail_is_the_restricted_tail(m, n):
             expected = restrict(full, window)
             hits += not expected.is_zero()
             misses += expected.is_zero()
-            assert alternate_tail(m, n, coords, lo, hi, window) == expected, (num, window)
+            assert _expand_blocks(m, n, blocks, window) == expected, (num, window)
     assert hits and misses
     assert inside or m * n < 2
 
@@ -137,7 +137,8 @@ def test_alternate_tail_matches_binomial_reference(case):
     expected = tail_by_binomials(m, n, num, lo, hi)
     if window is not None:
         expected = restrict(expected, window)
-    assert alternate_tail(m, n, _fold(m, num.items()), lo, hi, window) == expected
+    assert _expand_blocks(m, n, _tail_blocks(m, n, _fold(m, num.items()), lo, hi),
+                          window) == expected
 
 
 _ENGINE_WEIGHTS = [chi for m in (1, 2, 3) for n in (1, 2, 3)

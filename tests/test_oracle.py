@@ -11,6 +11,7 @@ from superchar.charring import (
     CharPoly,
     Window,
     alt_J,
+    _schur_block,
     _tail_blocks,
     chi_plus_rho_exponent,
     g0_blocks,
@@ -149,19 +150,36 @@ def test_oracle_typical_is_kac():
 def test_oracle_char_makes_one_kac_sum_call(monkeypatch):
     # the Kac sum is one run of the shared tail on the merged coordinates
     calls = []
-    real = oracle_module.alternate_tail
+    real = oracle_module._tail_blocks
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(oracle_module, "alternate_tail", counting)
+    monkeypatch.setattr(oracle_module, "_tail_blocks", counting)
     chi = HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3))
     ch = irreducible_char(chi)
     assert oracle_char(diagram_of_weight(chi), Window.hull(ch)) == ch
     assert len(calls) == 1
     # many relocations reach the window, merged into one coefficient map
     assert len(calls[0][2]) > 1
+
+
+@pytest.mark.parametrize("chi", [
+    HighestWeight(2, 2, (1, 0), (0, -1)),
+    HighestWeight(3, 2, (2, 1, 0), (0, -2)),
+    HighestWeight(3, 3, (3, 2, 2), (-2, -2, -3)),
+    HighestWeight(3, 3, (1, 1, 0), (0, -1, -1)),
+], ids=str)
+def test_oracles_on_the_hull_add_no_schur_block_misses(chi):
+    # both oracles end in L(chi)'s own g0 blocks, and a window only filters
+    # finished Schur blocks, so the engine's run leaves every block cached
+    ch = irreducible_char(chi)
+    misses = _schur_block.cache_info().misses
+    f, window = diagram_of_weight(chi), Window.hull(ch, margin=1)
+    assert oracle_char(f, window) == ch
+    assert oracle_char_lattice(f, window) == ch
+    assert _schur_block.cache_info().misses == misses
 
 
 def test_oracle_gl11_telescopes_to_monomial():
