@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 import time
+from collections.abc import Iterable
 from itertools import combinations_with_replacement
 
 from .capgraph import gamma, theta, theta_tilde
@@ -89,37 +90,91 @@ def _weight_from_args(args) -> HighestWeight:
         raise InputError(str(exc))
 
 
-def _char_json_terms(p: CharPoly) -> list[dict]:
+# ---------------------------------------------------------------------------
+# JSON output: the bytes json.dumps(payload, indent=2, sort_keys=True) gives,
+# written directly (with indent set the standard library runs its
+# pure-Python encoder).  Values arrive rendered: str(int) for integers,
+# '"' + s + '"' for the fixed-alphabet strings (coefficients, the variant,
+# the diagram symbols), "true"/"false", repr(float) and json.dumps(s) for
+# free text (_jscalar).
+
+def _jlist(items: Iterable[str], depth: int) -> str:
+    """A list at nesting depth `depth`, its items rendered; [] when empty."""
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(items)
+    return f"[{pad}{body}{pad[:-2]}]" if body else "[]"
+
+
+def _jobj(fields: dict[str, str], depth: int) -> str:
+    """An object at nesting depth `depth`, its values rendered, its keys
+    sorted as strings; {} when empty."""
+    if not fields:
+        return "{}"
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join([f'"{k}": {v}' for k, v in sorted(fields.items())])
+    return f"{{{pad}{body}{pad[:-2]}}}"
+
+
+def _jscalar(v) -> str:
+    """A bool, an int, a float or free text."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return json.dumps(v) if isinstance(v, str) else repr(v)
+
+
+def _lex_desc(p: CharPoly) -> list[tuple[tuple[int, ...], int]]:
+    """The terms of a character in CharPoly.sorted_terms order.  Every root
+    of gl(m|n) (eps_i - eps_j, delta_k - delta_l, eps_i - delta_j) has
+    total degree 0, so every monomial of ch L(chi) and ch K(chi) has total
+    degree |chi|: graded, then lexicographic, is lexicographic."""
+    return sorted(p.terms.items(), reverse=True)
+
+
+def _monomials_json(p: CharPoly) -> str:
+    """The "monomials" list of char and kac JSON (depth 1), one template per
+    row; m and n are positive, so no row has an empty list."""
     m = p.m
-    return [{"eps": list(v[:m]), "delta": list(v[m:]), "coeff": str(c)}
-            for v, c in p.sorted_terms()]
+    sep = ",\n        "
+    return _jlist([f'{{\n      "coeff": "{c}",\n      "delta": [\n        '
+                   f'{sep.join(map(str, v[m:]))}\n      ],\n      "eps": [\n        '
+                   f'{sep.join(map(str, v[:m]))}\n      ]\n    }}'
+                   for v, c in _lex_desc(p)], 1)
+
+
+def _theta_fields(th, depth: int) -> dict[str, str]:
+    """"terms" and "variables" of a theta object at nesting depth `depth`,
+    one template per term; exponents are [] when theta has no variable."""
+    p2, p3, p4 = ("  " * (depth + k) for k in (2, 3, 4))
+    sep = ",\n" + p4
+    opener, closer = (f"[\n{p4}", f"\n{p3}]") if th.r else ("[", "]")
+    rows = [f'{{\n{p3}"coeff": "{c!s}",\n{p3}"exponents": '
+            f'{opener}{sep.join(map(str, e))}{closer}\n{p2}}}'
+            for e, c in th.sorted_terms()]
+    return {"terms": _jlist(rows, depth + 1), "variables": str(th.r)}
 
 
 def _char_text(p: CharPoly) -> str:
     if p.is_zero():
         return "0"
-    m = p.m
+    # "x{i}^{e}" / "y{j}^{e}" built once per (slot, exponent)
+    pieces = [{} for _ in range(p.m + p.n)]
+    heads = [f"x{i + 1}^" for i in range(p.m)] + [f"y{j + 1}^" for j in range(p.n)]
     chunks = []
-    for v, c in p.sorted_terms():
+    for v, c in _lex_desc(p):
         mono = []
-        for i, e in enumerate(v[:m]):
+        for t, e in enumerate(v):
             if e:
-                mono.append(f"x{i + 1}^{e}")
-        for j, e in enumerate(v[m:]):
-            if e:
-                mono.append(f"y{j + 1}^{e}")
+                piece = pieces[t].get(e)
+                if piece is None:
+                    piece = pieces[t][e] = f"{heads[t]}{e}"
+                mono.append(piece)
         # a coefficient of +-1 is written as a sign, except on the constant
-        prefix = {1: "", -1: "-"}.get(c, f"{c} ") if mono else str(c)
-        chunks.append(prefix + " ".join(mono))
+        if not mono:
+            chunks.append(str(c))
+        else:
+            prefix = "" if c == 1 else "-" if c == -1 else f"{c} "
+            chunks.append(prefix + " ".join(mono))
     return " + ".join(chunks).replace("+ -", "- ")
-
-
-def _theta_json(th) -> dict:
-    return {
-        "variables": th.r,
-        "terms": [{"exponents": list(e), "coeff": str(c)}
-                  for e, c in th.sorted_terms()],
-    }
 
 
 def _frac_latex(c) -> str:
@@ -175,16 +230,15 @@ def cmd_char(args) -> int:
         return EXIT_BAD_INPUT
     if args.format == "json":
         th = theta(gamma(cap_diagram(diagram_of_weight(chi))))
-        payload = {
-            "m": chi.m, "n": chi.n,
-            "lambda": list(chi.lam), "mu": list(chi.mu),
-            "variant": args.variant,
-            "depth": auto_depth(chi),
-            "dimension": dimension_eval(ch),
-            "monomials": _char_json_terms(ch),
-            "theta": _theta_json(th),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_jobj({
+            "m": str(chi.m), "n": str(chi.n),
+            "lambda": _jlist(map(str, chi.lam), 1), "mu": _jlist(map(str, chi.mu), 1),
+            "variant": f'"{args.variant}"',
+            "depth": str(auto_depth(chi)),
+            "dimension": str(dimension_eval(ch)),
+            "monomials": _monomials_json(ch),
+            "theta": _jobj(_theta_fields(th, 1), 1),
+        }, 0))
     else:
         print(f"ch L(chi) for gl({chi.m}|{chi.n}), lambda={list(chi.lam)}, "
               f"mu={list(chi.mu)} [{args.variant}]")
@@ -198,39 +252,37 @@ def cmd_kac(args) -> int:
     f = diagram_of_weight(chi)
     k = kac_char(f)
     if args.format == "json":
-        payload = {
-            "m": chi.m, "n": chi.n,
-            "lambda": list(chi.lam), "mu": list(chi.mu),
-            "dimension": dimension_eval(k),
-            "monomials": _char_json_terms(k),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_jobj({
+            "m": str(chi.m), "n": str(chi.n),
+            "lambda": _jlist(map(str, chi.lam), 1), "mu": _jlist(map(str, chi.mu), 1),
+            "dimension": str(dimension_eval(k)),
+            "monomials": _monomials_json(k),
+        }, 0))
     else:
         print(_char_text(k))
         print(f"dimension: {dimension_eval(k)}")
     return EXIT_OK
 
 
-def _diagram_json(f: WeightDiagram) -> dict:
+def _diagram_json(f: WeightDiagram) -> str:
     cf = cap_diagram(f)
     forest = gamma(cf)
-    sd = segment_data(f)
-    return {
-        "symbols": {str(p): s for p, s in f.symbols.items()},
-        "crosses": list(f.crosses),
-        "caps": {str(c): cf.cap_end[c] for c in cf.crosses},
-        "edges": sorted(list(e) for e in forest.edges),
-        "segments": [list(s) for s in sd.segments],
-        "atypicality": len(f.crosses),
-        "components": forest.component_count(),
-    }
+    return _jobj({
+        "symbols": _jobj({str(p): f'"{s}"' for p, s in f.symbols.items()}, 1),
+        "crosses": _jlist(map(str, f.crosses), 1),
+        "caps": _jobj({str(c): str(cf.cap_end[c]) for c in cf.crosses}, 1),
+        "edges": _jlist([_jlist(map(str, e), 2) for e in sorted(forest.edges)], 1),
+        "segments": _jlist([_jlist(map(str, s), 2) for s in segment_data(f).segments], 1),
+        "atypicality": str(len(f.crosses)),
+        "components": str(forest.component_count()),
+    }, 0)
 
 
 def cmd_diagram(args) -> int:
     chi = _weight_from_args(args)
     f = diagram_of_weight(chi)
     if args.format == "json":
-        print(json.dumps(_diagram_json(f), indent=2, sort_keys=True))
+        print(_diagram_json(f))
     else:
         ab = ab_from_diagram(f)
         print(f"A = {list(ab.A)}  B = {list(ab.B)}")
@@ -250,11 +302,11 @@ def cmd_theta(args) -> int:
     else:
         th, nu, shift = theta(forest), None, None
     if args.format == "json":
-        payload = _theta_json(th)
+        fields = _theta_fields(th, 0)
         if nu is not None:
-            payload["nu"] = nu
-            payload["gamma"] = list(shift)
-        print(json.dumps(payload, indent=2, sort_keys=True))
+            fields["nu"] = str(nu)
+            fields["gamma"] = _jlist(map(str, shift), 1)
+        print(_jobj(fields, 0))
     elif args.format == "latex":
         print(_theta_numerator_latex(th))
         if nu is not None:
@@ -423,6 +475,19 @@ SUITES = {
 }
 
 
+def _verify_json(all_ok: bool, report: dict) -> str:
+    def suite(res: dict) -> str:
+        fields = {k: _jscalar(v) for k, v in res.items() if k != "reports"}
+        if "reports" in res:
+            fields["reports"] = _jlist([_jobj({k: _jlist(map(str, v), 5) if k == "window"
+                                               else _jscalar(v) for k, v in rep.items()}, 4)
+                                        for rep in res["reports"]], 3)
+        return _jobj(fields, 2)
+
+    return _jobj({"ok": _jscalar(all_ok),
+                  "suites": _jobj({name: suite(res) for name, res in report.items()}, 1)}, 0)
+
+
 def cmd_verify(args) -> int:
     names = [args.only] if args.only else list(SUITES)
     for name in names:
@@ -442,8 +507,7 @@ def cmd_verify(args) -> int:
         report[name] = result
         all_ok = all_ok and result["ok"]
     if args.format == "json":
-        print(json.dumps({"ok": all_ok, "suites": report},
-                         indent=2, sort_keys=True))
+        print(_verify_json(all_ok, report))
     else:
         for name in names:
             res = report[name]

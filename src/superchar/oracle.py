@@ -3,9 +3,9 @@ filtration-convergent sum of Kac characters indexed by order-preserving
 injections of the crosses.
 
 Every result of the closed formula engines is checked against this expansion.
-On the character's odd-degree slice the sum is finite: one proved cutoff
-(_slice), shared by both routes below, drops exactly the relocations that
-end above the slice, so one enumeration gives the exact sum, and a window
+On the character's odd-degree slice the sum is finite: a term's total
+displacement raises its odd degree (_slice), so the relocations within the
+displacement budget m*n give the exact sum in one enumeration, and a window
 restricts only its final expansion.  Each relocation goes straight to its
 Kac coordinate chi + rho, read off its values and the core symbols without
 building its image diagram or weight.  The signed Kac characters are summed
@@ -55,12 +55,17 @@ class WeightMap:
         return WeightDiagram(symbols)
 
 
-def enumerate_weight_maps(f: WeightDiagram, cutoff: int) -> list[WeightMap]:
-    """All relocations with every value >= cutoff, depth-first over the
-    crosses in increasing position order.
+def enumerate_weight_maps(f: WeightDiagram, cutoff: int,
+                          budget: int | None = None) -> list[WeightMap]:
+    """All relocations with every value >= cutoff and, given a budget, total
+    displacement sum(c - x) <= budget, depth-first over the crosses in
+    increasing position order.
 
     Constraints: values never exceed their cross, respect the cap-nesting
-    order strictly, avoid each other and every core position.
+    order strictly, avoid each other and every core position.  A cross
+    can always stay put (the crosses before it end below it, their values
+    too), so the budget bounds each value below by c - (budget - spent)
+    without a dead end: the list is the unbudgeted one, filtered.
     """
     crosses = f.crosses
     if crosses and cutoff > min(crosses):
@@ -73,12 +78,12 @@ def enumerate_weight_maps(f: WeightDiagram, cutoff: int) -> list[WeightMap]:
     out: list[WeightMap] = []
     chosen: dict[int, int] = {}
 
-    def descend(k: int):
+    def descend(k: int, spent: int):
         if k == len(crosses):
             out.append(WeightMap(dict(chosen)))
             return
         c = crosses[k]
-        lo = cutoff
+        lo = cutoff if budget is None else max(cutoff, c - (budget - spent))
         for a in ancestors[c]:
             lo = max(lo, chosen[a] + 1)
         used = set(chosen.values())
@@ -86,10 +91,10 @@ def enumerate_weight_maps(f: WeightDiagram, cutoff: int) -> list[WeightMap]:
             if val in used or val in cores:
                 continue
             chosen[c] = val
-            descend(k + 1)
+            descend(k + 1, spent + c - val)
             del chosen[c]
 
-    descend(0)
+    descend(0, 0)
     return out
 
 
@@ -117,10 +122,13 @@ def _slice(f: WeightDiagram) -> tuple[int, int, int]:
     module, so its character lives in the slice.  Each route moves every
     cross c to a value x <= c, and its term (a relocation's Kac coordinate,
     a lattice point's alternant) has odd degree slice_lo + sum(c - x), which
-    Q only raises.  A value below cutoff = min(crosses) - m*n makes sum(c -
-    x) > m*n, so such a term ends above slice_hi: the terms with every
-    value at or above the cutoff give the whole sum on the slice.  Without
-    crosses the cutoff is -m*n, and nothing moves.
+    Q only raises.  So a term with sum(c - x) > m*n ends above slice_hi:
+    the relocations within the displacement budget m*n give the whole sum
+    on the slice (oracle_char).  The budget implies the cutoff: c - x <=
+    m*n makes x >= c - m*n >= min(crosses) - m*n = cutoff, so the terms
+    with every value at or above the cutoff include them all (the lattice
+    route, which enumerates by cutoff).  Without crosses the cutoff is
+    -m*n, and nothing moves.
     """
     mn = f.m * f.n
     slice_lo = -sum(f.crosses) - sum(f.less_positions)
@@ -128,8 +136,8 @@ def _slice(f: WeightDiagram) -> tuple[int, int, int]:
 
 
 def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
-    """Signed sum of Kac characters over all relocations with values at or
-    above the cutoff (_slice), on the character's odd-degree slice,
+    """Signed sum of Kac characters over all relocations within the
+    displacement budget m*n (_slice), on the character's odd-degree slice,
     restricted to the window.  Each relocation's Kac coordinate is read off
     directly: A is its values and the '>' positions, descending, B its
     values and the '<' positions, ascending, and the coordinate is A then
@@ -141,7 +149,7 @@ def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
     slice_lo, slice_hi, cutoff = _slice(f)
     greater, less = f.greater_positions, f.less_positions
     coeffs: dict[tuple[int, ...], int] = {}
-    for wm in enumerate_weight_maps(f, cutoff):
+    for wm in enumerate_weight_maps(f, cutoff, m * n):
         values = tuple(wm.phi.values())
         omega = (tuple(sorted(values + greater, reverse=True))
                  + tuple(-b for b in sorted(values + less)))

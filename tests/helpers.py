@@ -13,7 +13,8 @@ times the fully expanded odd factor, theta from one built subgraph per edge
 subset instead of an edge-mask walk, the orthogonality product by pairing
 every row with every column, the proj output from one swapped diagram per
 subset of crosses, Kac coordinates from each relocation's image weight or
-from lattice points laid out crosses first and folded.  core_strip, scale
+from lattice points laid out crosses first and folded, the CLI's JSON
+outputs from payload dicts through json.dumps instead of written text.  core_strip, scale
 and restrict have no caller in the library and live here for the tests that
 use them.
 """
@@ -26,9 +27,19 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from hypothesis import strategies as st
+
 from superchar import oracle
-from superchar.capgraph import ThetaPoly, _component_min_vertex, gamma, linear_extensions, subgraphs
-from superchar.caps import _swap, cap_diagram, projective_family
+from superchar.capgraph import (
+    ThetaPoly,
+    _component_min_vertex,
+    gamma,
+    linear_extensions,
+    subgraphs,
+    theta,
+    theta_tilde,
+)
+from superchar.caps import _swap, cap_diagram, projective_family, segment_data
 from superchar.charring import (
     CharPoly,
     Window,
@@ -38,9 +49,13 @@ from superchar.charring import (
     _schur_block,
     _sort_desc_signed,
     alt_J,
+    auto_depth,
     chi_plus_rho_exponent,
+    dimension_eval,
     divide_exact,
     even_positive_roots,
+    irreducible_char,
+    kac_char,
     odd_positive_roots,
     q_odd_product,
 )
@@ -52,6 +67,7 @@ from superchar.weights import (
     HighestWeight,
     WeightDiagram,
     ab_from_diagram,
+    diagram_of_weight,
     rho,
     weight_from_diagram,
 )
@@ -98,6 +114,13 @@ def dominant_weights(m, n, lo, hi):
                 continue
             out.append(HighestWeight(m, n, lam, mu))
     return out
+
+
+# a gl(m|n) highest weight, m, n <= 3, entries in [-2, 2]
+gl_weights = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda mn: st.builds(HighestWeight, st.just(mn[0]), st.just(mn[1]),
+                         *(st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+                           .map(lambda xs: tuple(sorted(xs, reverse=True))) for k in mn)))
 
 
 def random_diagram(rng, lo=0, hi=8, r_max=4, with_core=True) -> WeightDiagram:
@@ -459,3 +482,75 @@ def proj_output_by_diagrams(f: WeightDiagram, fmt: str) -> str:
         ab = ab_from_diagram(d)
         lines.append(f"  A = {list(ab.A)}  B = {list(ab.B)}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the CLI's JSON outputs as payloads: json_reference(payload) is what the
+# command prints
+
+def json_reference(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def char_json_terms(p: CharPoly) -> list[dict]:
+    m = p.m
+    return [{"eps": list(v[:m]), "delta": list(v[m:]), "coeff": str(c)}
+            for v, c in p.sorted_terms()]
+
+
+def theta_json(th: ThetaPoly) -> dict:
+    return {
+        "variables": th.r,
+        "terms": [{"exponents": list(e), "coeff": str(c)}
+                  for e, c in th.sorted_terms()],
+    }
+
+
+def char_payload(chi: HighestWeight, variant: str) -> dict:
+    ch = irreducible_char(chi, variant=variant)
+    return {
+        "m": chi.m, "n": chi.n,
+        "lambda": list(chi.lam), "mu": list(chi.mu),
+        "variant": variant,
+        "depth": auto_depth(chi),
+        "dimension": dimension_eval(ch),
+        "monomials": char_json_terms(ch),
+        "theta": theta_json(theta(gamma(cap_diagram(diagram_of_weight(chi))))),
+    }
+
+
+def kac_payload(chi: HighestWeight) -> dict:
+    k = kac_char(diagram_of_weight(chi))
+    return {
+        "m": chi.m, "n": chi.n,
+        "lambda": list(chi.lam), "mu": list(chi.mu),
+        "dimension": dimension_eval(k),
+        "monomials": char_json_terms(k),
+    }
+
+
+def theta_payload(f: WeightDiagram, variant: str) -> dict:
+    forest = gamma(cap_diagram(f))
+    if variant == "classic":
+        return theta_json(theta(forest))
+    th, nu, shift = theta_tilde(forest, segment_data(f))
+    return {**theta_json(th), "nu": nu, "gamma": list(shift)}
+
+
+def diagram_payload(f: WeightDiagram) -> dict:
+    cf = cap_diagram(f)
+    forest = gamma(cf)
+    return {
+        "symbols": {str(p): s for p, s in f.symbols.items()},
+        "crosses": list(f.crosses),
+        "caps": {str(c): cf.cap_end[c] for c in cf.crosses},
+        "edges": sorted(list(e) for e in forest.edges),
+        "segments": [list(s) for s in segment_data(f).segments],
+        "atypicality": len(f.crosses),
+        "components": forest.component_count(),
+    }
+
+
+def verify_payload(results: dict) -> dict:
+    """The report of `verify --format json` on the suites' result dicts."""
+    return {"ok": all(res["ok"] for res in results.values()), "suites": results}

@@ -37,6 +37,7 @@ from superchar.weights import HighestWeight, diagram_of_weight, position_exponen
 
 from helpers import (
     dominant_weights,
+    gl_weights,
     restrict,
     scale,
     schur_block_by_division,
@@ -451,3 +452,18 @@ def test_gl43_trivial_module(m, n):
     ch = irreducible_char(chi)
     assert ch == CharPoly.monomial(m, n, (0,) * (m + n))
     assert dimension_eval(ch) == 1
+
+
+@given(gl_weights)
+def test_character_terms_in_graded_order_are_in_lex_order(chi):
+    # every root of gl(m|n) has total degree 0, so every monomial of ch L
+    # and ch K has total degree |chi|, and graded-then-lexicographic order
+    # (sorted_terms) is plain lexicographic order, which the CLI sorts by
+    chars = [irreducible_char(chi), kac_char(diagram_of_weight(chi))]
+    try:
+        chars.append(irreducible_char(chi, variant="reduced"))
+    except ValueError:
+        pass  # the reduced variant does not cover this weight
+    for p in chars:
+        assert {sum(v) for v in p.terms} == {sum(chi.lam) + sum(chi.mu)}
+        assert sorted(p.terms.items(), reverse=True) == p.sorted_terms()

@@ -21,12 +21,22 @@ from superchar.weights import (
     GREATER,
     LESS,
     ABPair,
+    HighestWeight,
     WeightDiagram,
     ab_from_diagram,
     build_diagram,
 )
 
-from helpers import proj_output_by_diagrams
+from helpers import (
+    char_payload,
+    diagram_payload,
+    gl_weights,
+    json_reference,
+    kac_payload,
+    proj_output_by_diagrams,
+    theta_payload,
+    verify_payload,
+)
 
 
 def run(capsys, *argv):
@@ -505,3 +515,116 @@ def test_full_verify_computes_each_character_once(capsys, monkeypatch):
     counts.update(engine=0, kac=0)
     code, _, _ = run(capsys, "verify", "--only", "oracle")
     assert code == 0 and counts == {"engine": 325, "kac": 0}
+
+
+# ---------------------------------------------------------------------------
+# JSON outputs are written directly; their bytes are json.dumps(payload,
+# indent=2, sort_keys=True) of the reference payloads in helpers
+
+def _weight_args(chi):
+    return ("--m", str(chi.m), "--n", str(chi.n), "--lambda=" + ",".join(map(str, chi.lam)),
+            "--mu=" + ",".join(map(str, chi.mu)))
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@given(gl_weights)
+def test_char_and_kac_json_are_the_reference_bytes(chi):
+    for variant in ("classic", "reduced"):
+        try:
+            want = json_reference(char_payload(chi, variant))
+        except ValueError:
+            continue  # the reduced variant does not cover this weight
+        assert _stdout(("char", *_weight_args(chi), "--variant", variant,
+                        "--format", "json")) == (0, want), variant
+    assert _stdout(("kac", *_weight_args(chi), "--format", "json")) \
+        == (0, json_reference(kac_payload(chi)))
+
+
+@given(_proj_diagrams())
+def test_theta_and_diagram_json_are_the_reference_bytes(f):
+    for variant in ("classic", "reduced"):
+        assert _stdout(("theta", "--ab", _ab_arg(f), "--variant", variant, "--format", "json")) \
+            == (0, json_reference(theta_payload(f, variant))), variant
+    assert _stdout(("diagram", "--ab", _ab_arg(f), "--format", "json")) \
+        == (0, json_reference(diagram_payload(f)))
+
+
+@pytest.mark.parametrize("ab,present", [
+    # typical: theta has one term with "exponents": [], the diagram no caps,
+    # edges or segments
+    ("2:0", ['"exponents": []', '"caps": {}', '"edges": []', '"segments": []']),
+    # reduced theta with a rational coefficient
+    ("3,1,0:0,1,3", ['"coeff": "-1/6"']),
+    # keys sorted as strings: "-1" before "-10", "10" before "2"
+    ("10,2,-1:-10,2", ['"-1": ">",\n    "-10": "<",\n    "10": ">",\n    "2": "x"']),
+])
+def test_json_edge_cases_are_the_reference_bytes(capsys, ab, present):
+    f = _diagram(ab)
+    chi = superchar.weights.weight_from_diagram(f)
+    outputs = []
+    for variant in ("classic", "reduced"):
+        code, out, _ = run(capsys, "char", "--ab", ab, "--variant", variant, "--format", "json")
+        assert (code, out) == (0, json_reference(char_payload(chi, variant)))
+        code, out, _ = run(capsys, "theta", "--ab", ab, "--variant", variant, "--format", "json")
+        assert (code, out) == (0, json_reference(theta_payload(f, variant)))
+        outputs.append(out)
+    code, out, _ = run(capsys, "kac", "--ab", ab, "--format", "json")
+    assert (code, out) == (0, json_reference(kac_payload(chi)))
+    code, out, _ = run(capsys, "diagram", "--ab", ab, "--format", "json")
+    assert (code, out) == (0, json_reference(diagram_payload(f)))
+    outputs.append(out)
+    for text in present:
+        assert any(text in out for out in outputs), text
+
+
+def _recording(results, name, suite):
+    # the suite's result dict, which cmd_verify then times into: the
+    # reference carries the very `seconds` the run printed
+    def wrapper(*args):
+        results[name] = suite(*args)
+        return results[name]
+    return wrapper
+
+
+def test_verify_json_is_the_reference_bytes(capsys, monkeypatch):
+    suites = dict(cli.SUITES)
+    results = {}
+    monkeypatch.setattr(cli, "SUITES", {name: _recording(results, name, suite)
+                                        for name, suite in suites.items()})
+    code, out, _ = run(capsys, "verify", "--only", "orthogonality", "--format", "json")
+    assert (code, out) == (0, json_reference(verify_payload(results)))
+    assert '"reports": [' in out and '"ok": true' in out
+
+    # one suite fails, with free text that json.dumps must escape
+    def failing():
+        return {"ok": False, "checked": 3, "failure": 'crosses "(0, 1)" \\ \u00e9'}
+
+    results.clear()
+    monkeypatch.setattr(cli, "SUITES", {
+        "orthogonality": _recording(results, "orthogonality", suites["orthogonality"]),
+        "theta-mult": _recording(results, "theta-mult", failing)})
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert (code, out) == (4, json_reference(verify_payload(results)))
+    assert '"failure": "crosses \\"(0, 1)\\" \\\\ \\u00e9"' in out
+
+
+def test_json_commands_render_without_json_dumps(capsys, monkeypatch):
+    # char, kac, theta, diagram and a passing verify write their JSON
+    # without the standard library's encoder
+    def unavailable(*args, **kwargs):
+        raise AssertionError("a JSON output went through json.dumps")
+
+    monkeypatch.setattr(superchar.cli.json, "dumps", unavailable)
+    gl33 = ("--m", "3", "--n", "3", "--lambda", "3,2,2", "--mu", "-2,-2,-3")
+    for argv in [("char", *gl33), ("char", *gl33, "--variant", "reduced"), ("kac", *gl33),
+                 ("theta", *gl33), ("theta", *gl33, "--variant", "reduced"),
+                 ("diagram", *gl33), ("verify", "--only", "theta-mult")]:
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out), argv

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import superchar.cli as cli
 import superchar.oracle as oracle_module
@@ -74,6 +76,28 @@ def test_enumerate_avoids_core_positions():
     maps = enumerate_weight_maps(f, -3)
     values = sorted(wm.phi[0] for wm in maps)
     assert values == [-3, -2, 0]  # -1 is occupied by the core symbol
+
+
+@st.composite
+def _diagrams_with_crosses(draw):
+    r = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3))
+    positions = draw(st.lists(st.integers(-6, 6), min_size=r + k, max_size=r + k, unique=True))
+    symbols = {p: CROSS for p in positions[:r]}
+    symbols.update(zip(positions[r:], draw(st.lists(st.sampled_from([LESS, GREATER]),
+                                                    min_size=k, max_size=k))))
+    return WeightDiagram(symbols)
+
+
+@given(_diagrams_with_crosses())
+def test_enumerate_budget_filters_the_plain_list(f):
+    # the budget m*n oracle_char passes keeps exactly the relocations whose
+    # total displacement reaches the odd-degree slice, in the same order
+    mn = f.m * f.n
+    cutoff = min(f.crosses) - mn
+    plain = enumerate_weight_maps(f, cutoff)
+    within = [wm for wm in plain if sum(c - x for c, x in wm.phi.items()) <= mn]
+    assert enumerate_weight_maps(f, cutoff, mn) == within
 
 
 def test_enumerate_matches_lattice_points_of_region():
@@ -213,8 +237,9 @@ def _cutoff_cases():
 
 
 def test_relocations_below_cutoff_bound_miss_the_window(monkeypatch):
-    # the cutoff oracle_char would enumerate down to
-    def capture(f, cutoff):
+    # the cutoff oracle_char would enumerate down to, and its budget
+    def capture(f, cutoff, budget):
+        assert budget == f.m * f.n
         raise _Captured(cutoff)
 
     monkeypatch.setattr(oracle_module, "enumerate_weight_maps", capture)

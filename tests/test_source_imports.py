@@ -45,3 +45,16 @@ def test_only_the_expansion_reads_a_window():
                    and any(isinstance(attr, ast.Attribute) and attr.attr in ("eps", "delta")
                            for attr in ast.walk(node)))
     assert users == ["charring._expand_blocks"]
+
+
+def test_no_indented_json_dumps_in_src():
+    # with indent set, json.dumps runs the standard library's pure-Python
+    # encoder: the CLI writes indented JSON itself and calls json.dumps
+    # only on free text, where the C encoder runs
+    calls = sorted(f"{path.name}:{node.lineno}" for path in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("dump", "dumps")
+                   and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                   and any(kw.arg == "indent" for kw in node.keywords))
+    assert calls == []
