@@ -7,7 +7,7 @@ can be re-derived through an independent signed expansion into Kac
 characters, enumerated as lattice points of the same polyhedron.
 """
 
-from .caps import CapForest, SegmentData, cap_diagram, precedes, projective_family, segment_data, sigma_swap
+from .caps import CapForest, SegmentData, cap_diagram, projective_family, segment_data
 from .capgraph import Forest, ThetaPoly, gamma, linear_extensions, subgraphs, theta, theta_tilde
 from .charring import (
     CharPoly,
@@ -47,11 +47,9 @@ __all__ = [
     "kac_char",
     "linear_extensions",
     "oracle_char",
-    "precedes",
     "projective_family",
     "rho",
     "segment_data",
-    "sigma_swap",
     "subgraphs",
     "supersymmetry_check",
     "theta",

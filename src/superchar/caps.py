@@ -8,7 +8,6 @@ consecutive crosses (segments) feed the reduced character formula.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .weights import CROSS, InvariantError, WeightDiagram
@@ -85,29 +84,6 @@ def cap_diagram(f: WeightDiagram) -> CapForest:
                      if a < b and cap_end[b] < cap_end[a]]
         parent[b] = max(enclosing) if enclosing else None
     return CapForest(crosses, cap_end, parent)
-
-
-def precedes(cf: CapForest, a: int, b: int) -> bool:
-    """Nesting order: a before b iff the cap of b sits under the cap of a."""
-    if a not in cf.cap_end or b not in cf.cap_end:
-        raise ValueError(f"{a} and {b} must both be crosses")
-    return cf.nested_under(a, b)
-
-
-def sigma_swap(f: WeightDiagram, swap: set[int] | frozenset[int]) -> WeightDiagram:
-    """Exchange each chosen cross with its cap end, all caps taken from f."""
-    crosses = set(f.crosses)
-    if not swap <= crosses:
-        raise ValueError(f"{sorted(set(swap) - crosses)} are not crosses of the diagram")
-    return _swap(f, cap_diagram(f), swap)
-
-
-def _swap(f: WeightDiagram, cf: CapForest, swap: Iterable[int]) -> WeightDiagram:
-    symbols = f.symbols
-    for c in swap:
-        del symbols[c]
-        symbols[cf.cap_end[c]] = CROSS
-    return WeightDiagram(symbols)
 
 
 def family_pairs(f: WeightDiagram) -> tuple[dict[int, str], tuple[tuple[int, int], ...]]:

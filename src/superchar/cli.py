@@ -19,18 +19,19 @@ from .capgraph import gamma, theta, theta_tilde
 from .caps import cap_diagram, family_pairs, render_caps, segment_data
 from .charring import (
     CharPoly,
-    Window,
+    _expand_blocks,
     alt_J,
     auto_depth,
     chi_plus_rho_exponent,
     dhat_denominator,
     dimension_eval,
+    g0_blocks,
     irreducible_char,
     kac_char,
     supersymmetry_check,
     variant_theta,
 )
-from .oracle import oracle_char, orthogonality_report
+from .oracle import oracle_blocks, orthogonality_report
 from .weights import (
     CROSS,
     GREATER,
@@ -369,13 +370,15 @@ GRID_SHAPES = [(1, 1), (2, 1), (2, 2)]
 
 def _grid_suite(check) -> dict:
     """check(chi) on every weight of the gl(1|1), gl(2|1) and gl(2|2) grids
-    with entries in [-2, 2], stopping at the first weight where it is false."""
+    with entries in [-2, 2], stopping at the first weight it fails: check
+    gives True on a pass, else False or the text naming what differs."""
     checked = 0
     for (m, n) in GRID_SHAPES:
         for chi in _grid(m, n, -2, 2):
-            if not check(chi):
+            verdict = check(chi)
+            if verdict is not True:
                 return {"ok": False, "checked": checked,
-                        "failure": f"lambda={chi.lam} mu={chi.mu}"}
+                        "failure": f"lambda={chi.lam} mu={chi.mu}{verdict or ''}"}
             checked += 1
     return {"ok": True, "checked": checked}
 
@@ -391,17 +394,26 @@ def _suite_kac(memo: dict) -> dict:
     return _grid_suite(check)
 
 
-def _suite_oracle(memo: dict) -> dict:
-    def check(chi):
-        ch = _once(memo, irreducible_char, chi)
-        return oracle_char(diagram_of_weight(chi), Window.hull(ch, margin=1)) == ch
+def _same_blocks(route: str, got: dict, classic: dict) -> bool | str:
+    """True when a route gives the engine's classic g0 blocks, else the
+    first differing block in descending order with both multiplicities.
+    Block dicts are canonical (folded keys, no zero values), and the
+    characters of distinct L0(omega - rho) are linearly independent: equal
+    blocks are equal whole characters, with no window to hide a term."""
+    if got == classic:
+        return True
+    v = max(v for v in got.keys() | classic.keys() if got.get(v, 0) != classic.get(v, 0))
+    return f": {route} gives {got.get(v, 0)} at g0 block {v}, classic {classic.get(v, 0)}"
 
-    return _grid_suite(check)
+
+def _suite_oracle(memo: dict) -> dict:
+    return _grid_suite(lambda chi: _same_blocks(
+        "oracle", oracle_blocks(diagram_of_weight(chi)), _once(memo, g0_blocks, chi)))
 
 
 def _suite_variants(memo: dict) -> dict:
-    return _grid_suite(lambda chi: _once(memo, irreducible_char, chi)
-                       == irreducible_char(chi, variant="reduced"))
+    return _grid_suite(lambda chi: _same_blocks(
+        "reduced", g0_blocks(chi, "reduced"), _once(memo, g0_blocks, chi)))
 
 
 def _ab_text(f: WeightDiagram) -> str:
@@ -424,9 +436,9 @@ def _suite_orthogonality() -> dict:
 
 
 def _suite_supersymmetry(memo: dict) -> dict:
-    return _grid_suite(lambda chi: all(
-        supersymmetry_check(p) for p in (_once(memo, kac_char, diagram_of_weight(chi)),
-                                         _once(memo, irreducible_char, chi))))
+    return _grid_suite(lambda chi: all(supersymmetry_check(p) for p in (
+        _once(memo, kac_char, diagram_of_weight(chi)),
+        _expand_blocks(chi.m, chi.n, _once(memo, g0_blocks, chi)))))
 
 
 def _suite_theta_mult() -> dict:
@@ -497,7 +509,8 @@ def cmd_verify(args) -> int:
             return EXIT_BAD_INPUT
     report = {}
     all_ok = True
-    # the characters several suites check, kept only while this run lasts
+    # the Kac characters and classic g0 blocks several suites check, kept
+    # only while this run lasts
     memo: dict = {}
     suite_args = {name: (memo,) for name in ("kac", "oracle", "variants", "supersymmetry")}
     for name in names:

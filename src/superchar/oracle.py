@@ -2,18 +2,19 @@
 filtration-convergent sum of Kac characters indexed by order-preserving
 injections of the crosses.
 
-Every result of the closed formula engines is checked against this expansion.
-On the character's odd-degree slice the sum is finite: a term's total
-displacement raises its odd degree (_slice), so the relocations within the
-displacement budget m*n give the exact sum in one enumeration, and a window
-restricts only its final expansion.  Each relocation goes straight to its
-Kac coordinate chi + rho, read off its values and the core symbols without
-building its image diagram or weight.  The signed Kac characters are summed
-by running the alternation tail the engine and the lattice route share once
-on the merged Kac coordinates.  This route takes its nesting order from the
-caps directly, so it checks the caps and the forest end to end.  The shared
-tail's odd factor is checked against the fully expanded product by
-`verify --only kac`.
+Every result of the closed formula engines is checked against this expansion,
+block by block: `verify --only oracle` compares its g0 blocks (oracle_blocks)
+with the engine's.  On the character's odd-degree slice the sum is finite: a
+term's total displacement raises its odd degree (_slice), so the relocations
+within the displacement budget m*n give the exact sum in one enumeration, and
+a window restricts only its final expansion (oracle_char).  Each relocation
+goes straight to its Kac coordinate chi + rho, read off its values and the
+core symbols without building its image diagram or weight.  The signed Kac
+characters are summed by running the alternation tail the engine and the
+lattice route share once on the merged Kac coordinates.  This route takes
+its nesting order from the caps directly, so it checks the caps and the
+forest end to end.  The shared tail's odd factor is checked against the
+fully expanded product by `verify --only kac`.
 
 A second route sums plain alternants over the lattice points of the nesting
 forest's order polyhedron, the polyhedron whose vertex cones capgraph.theta
@@ -124,7 +125,7 @@ def _slice(f: WeightDiagram) -> tuple[int, int, int]:
     a lattice point's alternant) has odd degree slice_lo + sum(c - x), which
     Q only raises.  So a term with sum(c - x) > m*n ends above slice_hi:
     the relocations within the displacement budget m*n give the whole sum
-    on the slice (oracle_char).  The budget implies the cutoff: c - x <=
+    on the slice (oracle_blocks).  The budget implies the cutoff: c - x <=
     m*n makes x >= c - m*n >= min(crosses) - m*n = cutoff, so the terms
     with every value at or above the cutoff include them all (the lattice
     route, which enumerates by cutoff).  Without crosses the cutoff is
@@ -135,15 +136,15 @@ def _slice(f: WeightDiagram) -> tuple[int, int, int]:
     return slice_lo, slice_lo + mn, (min(f.crosses) if f.crosses else 0) - mn
 
 
-def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
-    """Signed sum of Kac characters over all relocations within the
-    displacement budget m*n (_slice), on the character's odd-degree slice,
-    restricted to the window.  Each relocation's Kac coordinate is read off
-    directly: A is its values and the '>' positions, descending, B its
+def oracle_blocks(f: WeightDiagram) -> dict[tuple[int, ...], int]:
+    """The g0 blocks of L(f) from the signed sum of Kac characters over all
+    relocations within the displacement budget m*n (_slice), on the
+    character's odd-degree slice.  Each relocation's Kac coordinate is read
+    off directly: A is its values and the '>' positions, descending, B its
     values and the '<' positions, ascending, and the coordinate is A then
     -B.  Relocation signs are accumulated per coordinate (equal images
     merge, cancelling ones drop), and the shared alternation tail runs once
-    on the merged Kac coordinates; the window restricts its expansion only.
+    on the merged Kac coordinates.
     """
     m, n = f.m, f.n
     slice_lo, slice_hi, cutoff = _slice(f)
@@ -154,7 +155,13 @@ def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
         omega = (tuple(sorted(values + greater, reverse=True))
                  + tuple(-b for b in sorted(values + less)))
         _acc(coeffs, omega, epsilon_sign(f, wm))
-    return _expand_blocks(m, n, _tail_blocks(m, n, coeffs, slice_lo, slice_hi), window)
+    return _tail_blocks(m, n, coeffs, slice_lo, slice_hi)
+
+
+def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
+    """The relocation route's character (oracle_blocks), restricted to the
+    window: the window restricts the blocks' expansion only."""
+    return _expand_blocks(f.m, f.n, oracle_blocks(f), window)
 
 
 def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
@@ -169,7 +176,7 @@ def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
 
     Each position's exponent vector (position_exponents) is weighted by its
     coordinate: a cross by x, a core symbol by its own position, which gives
-    one constant shift.  The slice and the cutoff are oracle_char's
+    one constant shift.  The slice and the cutoff are oracle_blocks'
     (_slice); a point's odd degree is slice_lo + sum(c - x), and the points
     that end above slice_hi are dropped before the fold."""
     m, n = f.m, f.n

@@ -14,9 +14,9 @@ subset instead of an edge-mask walk, the orthogonality product by pairing
 every row with every column, the proj output from one swapped diagram per
 subset of crosses, Kac coordinates from each relocation's image weight or
 from lattice points laid out crosses first and folded, the CLI's JSON
-outputs from payload dicts through json.dumps instead of written text.  core_strip, scale
-and restrict have no caller in the library and live here for the tests that
-use them.
+outputs from payload dicts through json.dumps instead of written text.
+core_strip, scale, restrict and _swap have no caller in the library and live
+here for the tests that use them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from superchar.capgraph import (
     theta,
     theta_tilde,
 )
-from superchar.caps import _swap, cap_diagram, projective_family, segment_data
+from superchar.caps import CapForest, cap_diagram, projective_family, segment_data
 from superchar.charring import (
     CharPoly,
     Window,
@@ -463,6 +463,15 @@ def orthogonality_dense(window, m, n, r_max):
                 first_failure = (f, g, pairing)
     return oracle.OrthogonalityReport(len(family), interior, tuple(excluded),
                                       first_failure)
+
+
+def _swap(f: WeightDiagram, cf: CapForest, swap) -> WeightDiagram:
+    """Exchange each chosen cross of f with its cap end in cf."""
+    symbols = f.symbols
+    for c in swap:
+        del symbols[c]
+        symbols[cf.cap_end[c]] = CROSS
+    return WeightDiagram(symbols)
 
 
 def proj_output_by_diagrams(f: WeightDiagram, fmt: str) -> str:

@@ -1,15 +1,6 @@
 import random
 
-import pytest
-
-from superchar.caps import (
-    cap_diagram,
-    precedes,
-    projective_family,
-    render_caps,
-    segment_data,
-    sigma_swap,
-)
+from superchar.caps import cap_diagram, projective_family, render_caps, segment_data
 from superchar.weights import CROSS, GREATER, LESS, WeightDiagram
 
 from helpers import random_diagram, stack_cap_ends
@@ -74,18 +65,12 @@ def test_caps_noncrossing_on_corpus():
 
 def test_precedes():
     cf = cap_diagram(crosses_only(0, 1, 3))
-    assert precedes(cf, 0, 1)
-    assert precedes(cf, 0, 3)
-    assert not precedes(cf, 1, 3)
-    assert not precedes(cf, 1, 1)
+    assert cf.nested_under(0, 1)
+    assert cf.nested_under(0, 3)
+    assert not cf.nested_under(1, 3)
+    assert not cf.nested_under(1, 1)
     cf2 = cap_diagram(crosses_only(0, 1, 2))
-    assert precedes(cf2, 1, 2)
-
-
-def test_precedes_rejects_non_cross():
-    cf = cap_diagram(crosses_only(0, 1))
-    with pytest.raises(ValueError):
-        precedes(cf, 0, 5)
+    assert cf2.nested_under(1, 2)
 
 
 def test_nesting_is_strict_partial_order():
@@ -102,26 +87,6 @@ def test_nesting_is_strict_partial_order():
                 for c in cs:
                     if cf.nested_under(a, b) and cf.nested_under(b, c):
                         assert cf.nested_under(a, c)
-
-
-def test_sigma_swap_single():
-    f = crosses_only(0, 1, 3)
-    assert sigma_swap(f, {3}).crosses == (0, 1, 4)
-
-
-def test_sigma_swap_empty():
-    f = crosses_only(0, 1, 3)
-    assert sigma_swap(f, set()) == f
-
-
-def test_sigma_swap_all():
-    f = crosses_only(0, 1, 3)
-    assert sigma_swap(f, {0, 1, 3}).crosses == (2, 4, 5)
-
-
-def test_sigma_swap_rejects_non_cross():
-    with pytest.raises(ValueError):
-        sigma_swap(crosses_only(0), {1})
 
 
 def test_projective_family_typical():

@@ -232,7 +232,6 @@ def test_proj_renders_from_the_pairs(capsys, monkeypatch):
         raise AssertionError("proj went through a diagram per member or json.dumps")
 
     monkeypatch.setattr(superchar.caps, "projective_family", unavailable)
-    monkeypatch.setattr(superchar.caps, "_swap", unavailable)
     monkeypatch.setattr(superchar.cli.json, "dumps", unavailable)
     code, out, _ = run(capsys, "proj", "--ab", R12_AB, "--format", "json")
     assert code == 0
@@ -489,13 +488,44 @@ def test_injected_sign_bug_fails_oracle_suite(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_spurious_far_block_fails_oracle_suite(capsys, monkeypatch):
+    # one folded g0 block far from every grid character: a window around
+    # the engine's character would filter it out, a block comparison cannot
+    original = superchar.oracle._tail_blocks
+
+    def spurious(m, n, *args):
+        far = tuple(range(49 + m, 49, -1)) + tuple(range(-50, -50 - n, -1))
+        return {**original(m, n, *args), far: 1}
+
+    monkeypatch.setattr(superchar.oracle, "_tail_blocks", spurious)
+    code, out, _ = run(capsys, "verify", "--only", "oracle")
+    assert code == 4
+    assert "oracle           FAIL  {'checked': 0, 'failure': 'lambda=(2,) mu=(2,): oracle " \
+           "gives 1 at g0 block (50, -50), classic 0'" in out
+    assert out.endswith("verification: FAIL\n")
+
+
+def test_variants_failure_names_the_first_differing_block(capsys, monkeypatch):
+    original = cli.g0_blocks
+
+    def flipped(chi, variant="classic"):
+        blocks = original(chi, variant)
+        return {v: -c for v, c in blocks.items()} if variant == "reduced" else blocks
+
+    monkeypatch.setattr(cli, "g0_blocks", flipped)
+    code, out, _ = run(capsys, "verify", "--only", "variants", "--format", "json")
+    assert code == 4
+    assert json.loads(out)["suites"]["variants"]["failure"] \
+        == "lambda=(2,) mu=(2,): reduced gives -1 at g0 block (2, 2), classic 1"
+
+
 def test_full_verify_computes_each_character_once(capsys, monkeypatch):
-    # oracle, variants and supersymmetry check the same classic characters
+    # oracle, variants and supersymmetry check the same classic g0 blocks
     # and kac and supersymmetry the same Kac characters of the 325 grid
     # weights: one run makes 650 engine runs (classic and reduced), not
     # 1,300, and 325 Kac characters, not 650.  The engine's g0 blocks are
-    # counted, not the tail, which the Kac characters and oracles run
-    # through too
+    # counted, under both names verify could reach them by, not the tail,
+    # which the Kac characters and oracles run through too
     counts = {"engine": 0, "kac": 0}
 
     def counted(key, fn):
@@ -505,8 +535,9 @@ def test_full_verify_computes_each_character_once(capsys, monkeypatch):
         wrapper.__name__ = fn.__name__
         return wrapper
 
-    monkeypatch.setattr(superchar.charring, "g0_blocks",
-                        counted("engine", superchar.charring.g0_blocks))
+    engine = counted("engine", superchar.charring.g0_blocks)
+    monkeypatch.setattr(superchar.charring, "g0_blocks", engine)
+    monkeypatch.setattr(cli, "g0_blocks", engine)
     monkeypatch.setattr(cli, "kac_char", counted("kac", cli.kac_char))
     code, _, _ = run(capsys, "verify")
     assert code == 0

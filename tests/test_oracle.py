@@ -25,6 +25,7 @@ from superchar.oracle import (
     WeightMap,
     enumerate_weight_maps,
     epsilon_sign,
+    oracle_blocks,
     oracle_char,
     oracle_char_lattice,
     orthogonality_report,
@@ -299,9 +300,10 @@ COORDINATE_WEIGHTS = ([chi for m, n in [(1, 1), (2, 1), (1, 2), (2, 2)]
 
 
 def test_kac_coordinates_agree_across_routes():
-    # the g0 blocks of L(chi) four ways: the engine's classic and reduced
-    # numerators through the paired columns, and the Su-Zhang relocations'
-    # and the polyhedron's lattice points' Kac coordinates through the
+    # the g0 blocks of L(chi) five ways: the engine's classic and reduced
+    # numerators through the paired columns, the relocation oracle's blocks
+    # (oracle_blocks), and the Su-Zhang relocations' and the polyhedron's
+    # lattice points' Kac coordinates, built here the long way, through the
     # shared tail on the character's odd-degree slice; the windowed oracles
     # check the characters end to end
     assert len(COORDINATE_WEIGHTS) == 620
@@ -314,7 +316,8 @@ def test_kac_coordinates_agree_across_routes():
         blocks = g0_blocks(chi)
         assert blocks[top] == 1, chi
         assert all(type(c) is int and c > 0 for c in blocks.values()), (chi, blocks)
-        routes = {"relocations": _tail_blocks(m, n, kac_coordinates_by_relocations(f),
+        routes = {"oracle": oracle_blocks(f),
+                  "relocations": _tail_blocks(m, n, kac_coordinates_by_relocations(f),
                                               lo, lo + m * n),
                   "lattice": _tail_blocks(m, n, kac_coordinates_by_lattice(f), lo, lo + m * n)}
         try:

@@ -58,3 +58,15 @@ def test_no_indented_json_dumps_in_src():
                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
                    and any(kw.arg == "indent" for kw in node.keywords))
     assert calls == []
+
+
+def test_verify_compares_blocks_not_windows():
+    # the oracle and variants suites compare g0 blocks, which are equal
+    # exactly when the whole characters are: the CLI never builds a window
+    # or calls an oracle's windowed expansion
+    tree = ast.parse((SRC / "cli.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert names.isdisjoint({"Window", "oracle_char", "oracle_char_lattice"})
