@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, prod
 
 from .caps import CapForest, SegmentData
@@ -39,23 +38,14 @@ class Forest:
         vs = set(self.vertices)
         if any(self.labels[i] >= self.labels[i + 1] for i in range(len(self.labels) - 1)):
             raise ValueError("labels must be strictly increasing")
-        root = {v: v for v in self.vertices}
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
         for i, j in self.edges:
             if i not in vs or j not in vs:
                 raise ValueError(f"edge ({i},{j}) leaves the vertex set")
             if self.labels[i] >= self.labels[j]:
                 raise ValueError(f"edge ({i},{j}) must point to the larger label")
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                raise ValueError("edges form a cycle (ignoring orientation)")
-            root[ri] = rj
+        # a simple graph has |V| - |E| components exactly when it has no cycle
+        if len(_components(vs, self.edges)) != len(vs) - len(self.edges):
+            raise ValueError("edges form a cycle (ignoring orientation)")
 
     @property
     def r(self) -> int:
@@ -63,25 +53,7 @@ class Forest:
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components (orientation ignored), each sorted, in order."""
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        out: list[tuple[int, ...]] = []
-        left = set(self.vertices)
-        for v in self.vertices:
-            if v not in left:
-                continue
-            comp, stack = set(), [v]
-            while stack:
-                u = stack.pop()
-                if u in comp:
-                    continue
-                comp.add(u)
-                stack.extend(adj[u] - comp)
-            left -= comp
-            out.append(tuple(sorted(comp)))
-        return out
+        return _components(self.vertices, self.edges)
 
     def component_count(self) -> int:
         return len(self.components())
@@ -132,26 +104,46 @@ def is_out_forest(forest: Forest) -> bool:
     return _second_parent(forest) is None
 
 
+def _components(verts, edges) -> list[tuple[int, ...]]:
+    """Connected components of (verts, edges), orientation ignored, each
+    sorted, in the order of their first vertex in verts."""
+    root = {v: v for v in verts}
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for i, j in edges:
+        root[find(i)] = find(j)
+    comps: dict[int, list[int]] = {}
+    for v in verts:
+        comps.setdefault(find(v), []).append(v)
+    return [tuple(sorted(c)) for c in comps.values()]
+
+
+def _subtree_size_product(verts, edges) -> int:
+    """Product of the subtree sizes of an out-forest on verts."""
+    parent = {j: i for i, j in edges}
+    children: dict[int, list[int]] = {}
+    for i, j in edges:
+        children.setdefault(i, []).append(j)
+    order = [v for v in verts if v not in parent]
+    for v in order:  # breadth first from the roots; the list grows as it is read
+        order.extend(children.get(v, ()))
+    size = dict.fromkeys(verts, 1)
+    for v in reversed(order):
+        if v in parent:
+            size[parent[v]] += size[v]
+    return prod(size.values())
+
+
 def linear_extensions_hook(forest: Forest) -> int:
     """Hook-length count r!/prod(subtree sizes); edges must point away from roots."""
     if not is_out_forest(forest):
         raise ValueError("hook formula needs edges oriented away from the roots")
-    children: dict[int, list[int]] = {v: [] for v in forest.vertices}
-    indeg = {v: 0 for v in forest.vertices}
-    for i, j in forest.edges:
-        children[i].append(j)
-        indeg[j] += 1
-
-    sizes: dict[int, int] = {}
-
-    def size(v: int) -> int:
-        if v not in sizes:
-            sizes[v] = 1 + sum(size(c) for c in children[v])
-        return sizes[v]
-
-    denom = 1
-    for v in forest.vertices:
-        denom *= size(v)
+    denom = _subtree_size_product(forest.vertices, forest.edges)
     count, rem = divmod(factorial(forest.r), denom)
     if rem:
         raise InvariantError(
@@ -165,28 +157,24 @@ def linear_extensions_dp(forest: Forest) -> int:
 
 
 def _downset_count(verts: tuple[int, ...], edges) -> int:
-    """Orderings of verts with i before j for every edge (i, j), counted over
-    the down-sets already placed; a directed cycle raises ValueError."""
-    preds: dict[int, set[int]] = {v: set() for v in verts}
+    """Orderings of verts with i before j for every edge (i, j), counted layer
+    by layer over the down-sets (bitmasks of the vertices placed so far) of
+    each size; a directed cycle leaves a layer empty and raises ValueError."""
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    need = dict.fromkeys(bit.values(), 0)
     for i, j in edges:
-        preds[j].add(i)
-
-    @lru_cache(maxsize=None)
-    def count(placed: frozenset) -> int:
-        if len(placed) == len(verts):
-            return 1
-        total = 0
-        for v in verts:
-            if v in placed or not preds[v] <= placed:
-                continue
-            total += count(placed | {v})
-        if total == 0:
+        need[bit[j]] |= bit[i]
+    ways = {0: 1}
+    for _ in verts:
+        grown: dict[int, int] = {}
+        for placed, w in ways.items():
+            for b, pre in need.items():
+                if not placed & b and pre & placed == pre:
+                    grown[placed | b] = grown.get(placed | b, 0) + w
+        if not grown:
             raise ValueError("graph has a directed cycle")
-        return total
-
-    result = count(frozenset())
-    count.cache_clear()
-    return result
+        ways = grown
+    return sum(ways.values())
 
 
 def linear_extensions(forest: Forest) -> int:
@@ -206,7 +194,8 @@ class ThetaPoly:
     def __post_init__(self):
         object.__setattr__(
             self, "terms",
-            {e: Fraction(c) for e, c in self.terms.items() if c != 0})
+            {e: c if isinstance(c, Fraction) else Fraction(c)
+             for e, c in self.terms.items() if c})
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Graded (total degree), then lexicographic, descending."""
@@ -270,16 +259,18 @@ def theta(forest: Forest) -> ThetaPoly:
 
     The input is a nesting forest: every vertex has at most one parent (a
     vertex with two raises ValueError).  A spanning subgraph is then an edge
-    mask, walked without building it.  Labels grow along every edge, so
-    vertex index order is a topological order.  A forward pass over the kept
-    edges in child order sets root[j] = root[i] after root[i] is final; the
-    root of a component is its only vertex without a kept parent, so it
-    carries the component's smallest label.  A backward pass adds each
-    child's subtree size into its parent after the child's is final.  Every
-    kept subgraph is a rooted forest with edges pointing away from its roots,
-    so by the hook-length formula it has r! / prod(subtree sizes) linear
-    extensions, an integer: the numerators over r! are summed exactly as
-    integers and the coefficient is (-1)^|mask| / prod(subtree sizes).
+    mask, and every per-vertex quantity is a column over all 2^|E| masks at
+    once.  Labels grow along every edge, so vertex index order is a
+    topological order.  A forward pass over the edges in child order sets the
+    column of how far j sits above its component minimum from its parent i's
+    finished column (its own label gap on the masks keeping the edge, 0 on
+    the others, where j is a root and so carries the smallest label of its
+    component).  A backward pass adds each child's subtree-size column into
+    its parent's on the masks keeping the edge, after the child's is final.
+    Every kept subgraph is a rooted forest with edges pointing away from its
+    roots, so by the hook-length formula it has r! / prod(subtree sizes)
+    linear extensions, an integer: the numerators over r! are summed exactly
+    as integers and the coefficient is (-1)^|mask| / prod(subtree sizes).
     """
     labels = forest.labels
     r = len(labels)
@@ -289,23 +280,26 @@ def theta(forest: Forest) -> ThetaPoly:
     # (mask bit, parent, child) in child order; bit k is the k-th sorted edge
     walk = sorted(((1 << k, i, j) for k, (i, j) in enumerate(sorted(forest.edges))),
                   key=lambda e: e[2])
-    back = walk[::-1]
+    masks = range(1 << len(walk))
+    ones = [1] * len(masks)
+    depth = [[0] * len(masks)] * r  # columns are replaced, never changed in place
+    size = {i: ones for _, i, _ in walk}
+    for bit, i, j in walk:
+        gap = labels[i] - labels[j]
+        depth[j] = [d + gap if m & bit else 0 for m, d in zip(masks, depth[i])]
+    for bit, i, j in reversed(walk):
+        size[i] = [a + b if m & bit else a
+                   for m, a, b in zip(masks, size[i], size.get(j, ones))]
     rfact = factorial(r)
     numerators: dict[tuple[int, ...], int] = {}
-    for mask in range(1 << len(walk)):
-        root = list(range(r))
-        size = [1] * r
-        for bit, i, j in walk:
-            if mask & bit:
-                root[j] = root[i]
-        for bit, i, j in back:
-            if mask & bit:
-                size[i] += size[j]
-        exps = tuple(labels[root[v]] - labels[v] for v in range(r))
-        count = rfact // prod(size)
-        numerators[exps] = numerators.get(exps, 0) + (
-            -count if mask.bit_count() & 1 else count)
-    return ThetaPoly(r, {e: Fraction(c, rfact) for e, c in numerators.items()})
+    # with no vertex there is one mask, on the empty monomial; the ones
+    # column gives the product 1 when there is no edge
+    rows = zip(*depth) if r else [()]
+    for m, exps, p in zip(masks, rows, map(prod, zip(ones, *size.values()))):
+        count = rfact // p
+        numerators[exps] = numerators.get(exps, 0) + (-count if m.bit_count() & 1 else count)
+    coeffs = {c: Fraction(c, rfact) for c in set(numerators.values())}
+    return ThetaPoly(r, {e: coeffs[c] for e, c in numerators.items()})
 
 
 def special_edges(forest: Forest, sd: SegmentData) -> frozenset[Edge]:
@@ -355,7 +349,31 @@ class MixedForest:
     edges: frozenset[Edge]
 
     def extension_count(self) -> int:
-        return _downset_count(tuple(range(len(self.labels))), self.edges)
+        """Orderings of the vertices with i before j for every edge (i, j),
+        counted per connected component: the product of the component counts
+        times the ways to interleave the components, r! / prod |C|!.  A tree
+        component whose vertices all have at most one predecessor (an
+        out-tree) or all at most one successor (an in-tree, the reverse of an
+        out-tree with as many orderings) counts |C|! / prod(subtree sizes) by
+        the hook-length formula; any other goes to _downset_count."""
+        comps = _components(range(len(self.labels)), self.edges)
+        where = {v: k for k, comp in enumerate(comps) for v in comp}
+        inner: list[list[Edge]] = [[] for _ in comps]
+        for e in self.edges:
+            inner[where[e[0]]].append(e)
+        num, den = factorial(len(self.labels)), 1
+        for comp, es in zip(comps, inner):
+            if not es:
+                continue
+            tree = len(es) == len(comp) - 1
+            if tree and len({j for _, j in es}) == len(es):
+                den *= _subtree_size_product(comp, es)
+            elif tree and len({i for i, _ in es}) == len(es):
+                den *= _subtree_size_product(comp, [(j, i) for i, j in es])
+            else:
+                num *= _downset_count(comp, es)
+                den *= factorial(len(comp))
+        return num // den
 
 
 def theta_tilde(forest: Forest, sd: SegmentData) -> tuple[ThetaPoly, int, tuple[int, ...]]:

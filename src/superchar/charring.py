@@ -517,7 +517,12 @@ def _expand_blocks(m: int, n: int, blocks: dict[Vec, object],
             for vd, cd in odd_terms:
                 key = ve + vd
                 out[key] = out.get(key, 0) + ce * cd
-    return CharPoly(m, n, out)
+    # drop the cancelled terms in place and hand the dict over uncopied
+    for key in [key for key, c in out.items() if not c]:
+        del out[key]
+    ch = CharPoly(m, n)
+    ch.terms = out
+    return ch
 
 
 @lru_cache(maxsize=None)

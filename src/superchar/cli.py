@@ -335,16 +335,31 @@ def cmd_proj(args) -> int:
     if args.format == "json":
         # the lines json.dumps(indent=2, sort_keys=True) gives, keys as strings
         lines = [(f'    "{p}": "{symbol[p]}"', bit[p]) for p in sorted(symbol, key=str)]
-        blocks = (",\n".join([line for line, b in lines if m & b]) for m in members)
-        print("[\n  {\n" + "\n  },\n  {\n".join(blocks) + "\n  }\n]")
+        print("[\n  {\n" + "\n  },\n  {\n".join(_held(members, lines, ",\n")) + "\n  }\n]")
     else:
         a_side = [(str(p), bit[p]) for p in reversed(ascending) if symbol[p] != LESS]
         b_side = [(str(p), bit[p]) for p in ascending if symbol[p] != GREATER]
         print(f"{len(members)} diagrams in the projective family:")
-        print("\n".join("  A = [" + ", ".join([p for p, b in a_side if m & b])
-                        + "]  B = [" + ", ".join([p for p, b in b_side if m & b]) + "]"
-                        for m in members))
+        print("\n".join(f"  A = [{a}]  B = [{b}]" for a, b in
+                        zip(_held(members, a_side, ", "), _held(members, b_side, ", "))))
     return EXIT_OK
+
+
+def _held(members: list[int], items: list[tuple[str, int]], sep: str) -> list[str]:
+    """For every member mask, the texts of the items whose bit it holds, in
+    item order, joined by sep.  The items are cut into two halves; each
+    half's texts are joined once per distinct part of a member mask in that
+    half, each text followed by sep, and a member's are its low half's then
+    its high half's, less the last sep."""
+    cut = len(items) // 2
+    halves = []
+    for part in (items[:cut], items[cut:]):
+        bits = sum(b for _, b in part)
+        halves.append((bits, {k: "".join([t + sep for t, b in part if k & b])
+                              for k in {m & bits for m in members}}))
+    (low, low_text), (high, high_text) = halves
+    drop = len(sep)
+    return [(low_text[m & low] + high_text[m & high])[:-drop] for m in members]
 
 
 # ---------------------------------------------------------------------------

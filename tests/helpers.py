@@ -33,8 +33,11 @@ from superchar import oracle
 from superchar.capgraph import (
     ThetaPoly,
     _component_min_vertex,
+    _downset_count,
     gamma,
+    gamma0,
     linear_extensions,
+    reduced_subgraphs,
     subgraphs,
     theta,
     theta_tilde,
@@ -223,6 +226,27 @@ def theta_by_subgraphs(forest) -> ThetaPoly:
         mins = _component_min_vertex(delta)
         exps = tuple(delta.labels[mins[i]] - delta.labels[i] for i in range(r))
         coeff = Fraction((-1) ** len(delta.edges) * linear_extensions(delta), rfact)
+        terms[exps] = terms.get(exps, Fraction(0)) + coeff
+    return ThetaPoly(r, terms)
+
+
+def theta_tilde_by_subgraphs(forest, sd) -> ThetaPoly:
+    """The polynomial of capgraph.theta_tilde the long way round: one Forest
+    per subgraph keeping every non-special edge, its component minima by a
+    component search, and the linear extensions of the subgraph with its
+    edges outside the core reversed counted by one down-set count over all
+    r vertices, each over r! and signed by the number reversed."""
+    r = len(forest.labels)
+    rfact = factorial(r)
+    tc = sd.tilde_c
+    core = gamma0(forest, sd).edges
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for delta in reduced_subgraphs(forest, sd):
+        flipped = delta.edges - core
+        star = (delta.edges - flipped) | {(j, i) for i, j in flipped}
+        mins = _component_min_vertex(delta)
+        exps = tuple(tc[delta.labels[mins[i]]] - tc[delta.labels[i]] for i in range(r))
+        coeff = Fraction((-1) ** len(flipped) * _downset_count(tuple(range(r)), star), rfact)
         terms[exps] = terms.get(exps, Fraction(0)) + coeff
     return ThetaPoly(r, terms)
 

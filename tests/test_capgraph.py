@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from superchar.capgraph import (
@@ -34,6 +34,7 @@ from helpers import (
     brute_extension_count,
     random_diagram,
     theta_by_subgraphs,
+    theta_tilde_by_subgraphs,
 )
 
 
@@ -120,6 +121,37 @@ def test_mixed_orientation_dp_matches_brute():
         assert dp == brute, (r, flipped)
 
 
+@pytest.mark.parametrize("edges", [
+    {(0, 1), (1, 2), (2, 0), (4, 3)},  # the cycle's component first
+    {(1, 0), (2, 3), (3, 4), (4, 2)},  # the cycle's component last
+])
+def test_extension_count_rejects_a_directed_cycle_beside_an_acyclic_component(edges):
+    with pytest.raises(ValueError, match="directed cycle"):
+        MixedForest(tuple(range(5)), frozenset(edges)).extension_count()
+
+
+@st.composite
+def _mixed_forests(draw):
+    """(r, edges): a forest on 2..8 vertices with 2..4 components, each edge
+    oriented at random; the first k vertices of a random order are the
+    roots and every later one hangs from an earlier one."""
+    r = draw(st.integers(2, 8))
+    k = draw(st.integers(2, min(4, r)))
+    order = draw(st.permutations(range(r)))
+    edges = set()
+    for t in range(k, r):
+        i, j = order[draw(st.integers(0, t - 1))], order[t]
+        edges.add((i, j) if draw(st.booleans()) else (j, i))
+    return r, frozenset(edges)
+
+
+@given(_mixed_forests())
+def test_extension_count_matches_brute_on_mixed_forests(case):
+    r, edges = case
+    assert MixedForest(tuple(range(r)), edges).extension_count() == \
+        brute_extension_count(r, edges)
+
+
 def test_reversal_invariance():
     for r, edges in all_rooted_forests(6):
         opposite = frozenset((j, i) for i, j in edges)
@@ -145,6 +177,8 @@ def test_theta_golden_gl33():
 def test_theta_edgeless_is_one():
     g = Forest((1, 4, 9), frozenset())
     assert theta(g).terms == {(0, 0, 0): 1}
+    # a typical weight has no cross: one empty subgraph on the empty monomial
+    assert theta(Forest((), frozenset())).terms == {(): 1}
 
 
 def test_theta_exponents_never_positive():
@@ -188,15 +222,20 @@ def test_theta_at_one():
 
 
 @st.composite
-def _nesting_forests(draw, r_max=8):
-    """gamma of a cap diagram with 1..r_max crosses and up to two core
-    symbols; r crosses on at most 2r positions nest often."""
+def _nesting_diagrams(draw, r_max=8):
+    """A cap diagram with 1..r_max crosses and up to two core symbols; r
+    crosses on at most 2r positions nest often."""
     r = draw(st.integers(1, r_max))
     span = draw(st.integers(r, 2 * r))
     crosses = draw(st.sets(st.integers(0, span - 1), min_size=r, max_size=r))
     cores = draw(st.dictionaries(st.integers(0, span).filter(lambda p: p not in crosses),
                                  st.sampled_from([LESS, GREATER]), max_size=2))
-    return gamma(cap_diagram(WeightDiagram({**cores, **{c: CROSS for c in crosses}})))
+    return WeightDiagram({**cores, **{c: CROSS for c in crosses}})
+
+
+def _nesting_forests(r_max=8):
+    """gamma of a drawn cap diagram (_nesting_diagrams)."""
+    return _nesting_diagrams(r_max).map(lambda f: gamma(cap_diagram(f)))
 
 
 @given(_nesting_forests())
@@ -210,6 +249,16 @@ def test_theta_matches_subgraph_route(g):
 def test_theta_matches_subgraph_route_on_disjoint_unions(g1, g2):
     union = embed_disjoint(g1, g2)
     assert theta(union).terms == theta_by_subgraphs(union).terms
+
+
+@given(_nesting_diagrams())
+def test_theta_tilde_matches_subgraph_route(f):
+    g, sd = gamma(cap_diagram(f)), segment_data(f)
+    assume(reduced_formula_supported(g, sd))
+    th, nu, shift = theta_tilde(g, sd)
+    reference = theta_tilde_by_subgraphs(g, sd)
+    assert th.terms == reference.terms
+    assert str(th) == str(reference)
 
 
 def test_theta_rejects_a_vertex_with_two_parents():

@@ -70,3 +70,12 @@ def test_verify_compares_blocks_not_windows():
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
     assert names.isdisjoint({"Window", "oracle_char", "oracle_char_lattice"})
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements: an invariant of the library is
+    # checked by a raise (InvariantError or ValueError), never only asserted
+    asserts = sorted(f"{path.name}:{node.lineno}" for path in SRC.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Assert))
+    assert asserts == []
