@@ -144,7 +144,9 @@ def render_caps(f: WeightDiagram) -> str:
         return "(empty diagram)"
     lo = min(lo_candidates or hi_candidates) - 1
     hi = max(hi_candidates) + 1
-    width = 3
+    # one column per position, wide enough for its label and a space; the
+    # longest label is at an end of the range
+    width = max(3, 1 + max(len(str(lo)), len(str(hi))))
 
     def col(pos: int) -> int:
         return (pos - lo) * width

@@ -12,9 +12,9 @@ exactly, so no series is expanded and nothing is truncated (g0_blocks); the
 only rationals, theta's coefficients, are scaled to integers for the tail
 and divided out of each g0 block exactly.  Every character route is g0
 blocks, then one expansion: the engine, the Kac characters and both oracles
-run the tail (_tail_blocks) on an odd-degree slice, the one cutoff of their
-sums, and expand its blocks (_expand_blocks) through one gl(k) kernel
-(_schur_block); a window only filters the finished Schur blocks.
+run the tail (_tail_blocks) on the odd-degree slice (_slice), the one bound
+of their sums, and expand its blocks (_expand_blocks) through one gl(k)
+kernel (_schur_block); a window only filters the finished Schur blocks.
 """
 
 from __future__ import annotations
@@ -535,16 +535,34 @@ def gt_multiplicity(lam: tuple[int, ...], w: Vec) -> int:
 # ---------------------------------------------------------------------------
 # Kac characters
 
+def _slice(f: WeightDiagram) -> tuple[int, int]:
+    """(slice_lo, slice_hi): the odd degrees of ch K(f) and ch L(f), the one
+    bound of every character route's sum.
+
+    slice_lo = -sum(crosses and '<' positions) is the odd degree of the Kac
+    coordinate chi + rho, whose odd part is -B.  ch K(f) is Q times a
+    W0-alternant of that degree, and Q raises the odd degree by 0 to m*n, so
+    ch K(f) lives in [slice_lo, slice_hi = slice_lo + m*n]; L(f) is a
+    quotient of K(f), so ch L(f) does too.  Each oracle route moves every
+    cross c to a value x <= c, and its term (a relocation's Kac coordinate,
+    a lattice point's alternant) has odd degree slice_lo + sum(c - x), which
+    Q only raises.  So a term whose displacement sum(c - x) exceeds m*n
+    ends above slice_hi: the budget m*n bounds both oracle enumerations.
+    """
+    crosses, less = f.crosses, f.less_positions
+    slice_lo = -sum(crosses) - sum(less)
+    m, n = len(crosses) + len(f.greater_positions), len(crosses) + len(less)
+    return slice_lo, slice_lo + m * n
+
+
 def _kac_tail(f: WeightDiagram, window: Window | None) -> CharPoly:
     """ch K(chi) = Q * ch L0(chi), and by Weyl's formula ch L0(chi) is
     J(e^(chi+rho)) over the tail's denominator.  Q is W0-invariant, so
     ch K(chi) is the alternation tail on one term, the Kac coordinate
-    omega = chi + rho, over the slice [deg omega, deg omega + m*n], deg the
-    odd degree: Q raises it by 0 to m*n, so the slice holds every term."""
+    omega = chi + rho, over the slice (_slice), which holds every term."""
     m, n = f.m, f.n
     omega = chi_plus_rho_exponent(weight_from_diagram(f))
-    lo = sum(omega[m:])
-    return _expand_blocks(m, n, _tail_blocks(m, n, {omega: 1}, lo, lo + m * n), window)
+    return _expand_blocks(m, n, _tail_blocks(m, n, {omega: 1}, *_slice(f)), window)
 
 
 def kac_char(f: WeightDiagram) -> CharPoly:
@@ -640,7 +658,7 @@ def variant_theta(f: WeightDiagram, variant: str
 def _numerator(chi: HighestWeight, variant: str
                ) -> tuple[dict[Vec, object], tuple[Vec, ...], int, int]:
     """e^top * theta(-e^alpha): its terms, the atypical roots, and the
-    odd-degree slice of the character."""
+    odd-degree slice of the character (_slice)."""
     m, n = chi.m, chi.n
     f = diagram_of_weight(chi)
     vecs = position_exponents(f)
@@ -649,7 +667,6 @@ def _numerator(chi: HighestWeight, variant: str
     global_sign = -1 if nu % 2 else 1
 
     top = chi_plus_rho_exponent(chi)
-    base_delta = sum(top[m:])
     top = tuple(t + sum(s * a[k] for s, a in zip(shift_coeffs, alphas))
                 for k, t in enumerate(top))
 
@@ -661,7 +678,7 @@ def _numerator(chi: HighestWeight, variant: str
                 vec[k] += e * alphas[i][k]
         sign = -1 if sum(exps) % 2 else 1
         _acc(num, tuple(vec), coeff * sign * global_sign)
-    return num, alphas, base_delta, base_delta + m * n
+    return num, alphas, *_slice(f)
 
 
 def g0_blocks(chi: HighestWeight, variant: str = "classic") -> dict[Vec, int]:
@@ -689,10 +706,10 @@ def g0_blocks(chi: HighestWeight, variant: str = "classic") -> dict[Vec, int]:
     no root touches, folded once, then the roots' even slots in root order,
     and the odd block the roots' odd slots in root order, then the rest:
     odd column j < r is then paired with even slot m - r + j.  The
-    character's odd degrees lie in [slice_lo, slice_hi], as L(chi) is a
-    quotient of the Kac module, so only that slice is kept.  Theta is scaled
-    to ints by the lcm of its denominators; the scale is divided out of each
-    block, and a remainder is a bug (InvariantError).
+    character's odd degrees lie in its slice (_slice), so only that slice
+    is kept.  Theta is scaled to ints by the lcm of its denominators; the
+    scale is divided out of each block, and a remainder is a bug
+    (InvariantError).
     """
     m, n = chi.m, chi.n
     num, alphas, slice_lo, slice_hi = _numerator(chi, variant)

@@ -552,18 +552,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact characters of irreducible gl(m|n) modules")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_weight_flags(p):
+    def add_weight_flags(p, formats=("text", "json")):
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--lambda", dest="lam", default="")
         p.add_argument("--mu", dest="mu", default="")
         p.add_argument("--ab", default="",
                        help="shifted label sets, e.g. '3,1,0:0,1,3'")
-        p.add_argument("--format", choices=["text", "json", "latex"],
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
 
     p_char = sub.add_parser("char", help="irreducible character")
-    add_weight_flags(p_char)
+    add_weight_flags(p_char, ("text", "json", "latex"))
     p_char.add_argument("--variant", choices=["classic", "reduced"],
                         default="classic")
     p_char.set_defaults(func=cmd_char)
@@ -577,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.set_defaults(func=cmd_diagram)
 
     p_theta = sub.add_parser("theta", help="theta polynomial of the forest")
-    add_weight_flags(p_theta)
+    add_weight_flags(p_theta, ("text", "json", "latex"))
     p_theta.add_argument("--variant", choices=["classic", "reduced"],
                          default="classic")
     p_theta.set_defaults(func=cmd_theta)

@@ -1,90 +1,54 @@
-"""The order polyhedron of a nesting forest, its lattice points, and the
-strict-chain partition check.
+"""The lattice points of a nesting forest's order polyhedron within a
+displacement budget, and the strict-chain partition check.
 
 A forest with labels c_1 < ... < c_r cuts out the region x_i <= c_i with
 x_i <= x_j along every edge.  Its vertices are the spanning subgraphs, and
 capgraph.theta sums their tangent cones; enumerate_lattice lists its lattice
-points above a cutoff, which the lattice oracle sums instead.  By Brion's
-theorem the two sums agree.
+points of total displacement sum(c_i - x_i) at most a budget, which the
+lattice oracle sums instead.  By Brion's theorem the two sums agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .capgraph import Edge, Forest
+from .capgraph import Forest
 
 
-@dataclass(frozen=True)
-class OrderPolyhedron:
-    """Order region bounded above in every coordinate.
+def enumerate_lattice(forest: Forest, budget: int) -> list[tuple[int, ...]]:
+    """All integer points x of the forest's order polyhedron with
+    sum(labels[i] - x_i) <= budget, lexicographic; the budget makes the
+    downward-unbounded region finite.
 
-    bounds[i] is the upper bound of coordinate i; chain_edges (i, j) impose
-    x_i <= x_j.
+    Every edge (i, j) points to the larger label, so i < j and x_j's lower
+    bound x_i is placed before it.  Each later coordinate spends
+    labels[j] - x_j >= 0, so the budget bounds each value below by
+    labels[i] - (budget - spent): the list is the unbudgeted one, filtered.
     """
-
-    dim: int
-    bounds: dict[int, int]
-    chain_edges: frozenset[Edge]
-
-    def __post_init__(self):
-        if set(self.bounds) != set(range(self.dim)):
-            raise ValueError(f"every coordinate of 0..{self.dim - 1} needs a bound")
-        for i, j in self.chain_edges:
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise ValueError(f"chain edge ({i},{j}) out of range")
-
-    def contains(self, point: tuple[int, ...]) -> bool:
-        if len(point) != self.dim:
-            return False
-        for i, b in self.bounds.items():
-            if point[i] > b:
-                return False
-        return all(point[i] <= point[j] for i, j in self.chain_edges)
-
-
-def polyhedron_of_forest(forest: Forest) -> OrderPolyhedron:
-    """One coordinate per cross, bounded by that cross, with
-    x_parent <= x_child along the forest edges."""
-    return OrderPolyhedron(
-        dim=len(forest.labels),
-        bounds={i: forest.labels[i] for i in range(len(forest.labels))},
-        chain_edges=forest.edges)
-
-
-def enumerate_lattice(poly: OrderPolyhedron, cutoff: int) -> list[tuple[int, ...]]:
-    """All integer points with every coordinate >= cutoff, lexicographic;
-    the cutoff makes the downward-unbounded region finite."""
-    for i, b in poly.bounds.items():
-        if cutoff > b:
-            return []
-
-    succ: dict[int, list[int]] = {i: [] for i in range(poly.dim)}
-    pred: dict[int, list[int]] = {i: [] for i in range(poly.dim)}
-    for i, j in poly.chain_edges:
-        succ[i].append(j)
-        pred[j].append(i)
+    if budget < 0:
+        raise ValueError("the displacement budget must not be negative")
+    labels = forest.labels
+    parents: list[list[int]] = [[] for _ in labels]
+    for i, j in forest.edges:
+        parents[j].append(i)
 
     out: list[tuple[int, ...]] = []
-    point: list[int] = [0] * poly.dim
+    point: list[int] = [0] * len(labels)
 
-    def fill(i: int):
-        if i == poly.dim:
+    def fill(i: int, spent: int):
+        if i == len(labels):
             out.append(tuple(point))
             return
-        lo, hi = cutoff, poly.bounds[i]
-        # chain constraints against already-placed coordinates
-        for j in pred[i]:
-            if j < i:
-                lo = max(lo, point[j])
-        for j in succ[i]:
-            if j < i:
-                hi = min(hi, point[j])
-        for v in range(lo, hi + 1):
+        c = labels[i]
+        lo = c - (budget - spent)
+        for j in parents[i]:
+            lo = max(lo, point[j])
+        for v in range(lo, c + 1):
             point[i] = v
-            fill(i + 1)
+            fill(i + 1, spent + c - v)
 
-    fill(0)
+    fill(0, 0)
     return out
 
 
@@ -129,9 +93,11 @@ def chain_decomposition_report(forest: Forest, bound: int,
     discrepancy is visible rather than silently absorbed.
     """
     r = len(forest.labels)
-    poly = OrderPolyhedron(dim=r, bounds={i: bound for i in range(r)},
-                           chain_edges=forest.edges)
-    points = enumerate_lattice(poly, window)
+
+    def in_cone(p: tuple[int, ...]) -> bool:
+        return all(p[i] <= p[j] for i, j in forest.edges)
+
+    points = [p for p in product(range(window, bound + 1), repeat=r) if in_cone(p)]
     sigmas = set(extension_permutations(forest))
     region_counts: dict[tuple[int, ...], int] = {s: 0 for s in sorted(sigmas)}
     diagonal = 0
@@ -155,7 +121,7 @@ def chain_decomposition_report(forest: Forest, bound: int,
     # every strictly-ordered point of every region must lie in the cone
     for s in sigmas:
         for p in _strict_region_points(s, bound, window):
-            if not poly.contains(p):
+            if not in_cone(p):
                 ok = False
     if sum(region_counts.values()) != len(points):
         ok = False

@@ -5,11 +5,11 @@ injections of the crosses.
 Every result of the closed formula engines is checked against this expansion,
 block by block: `verify --only oracle` compares its g0 blocks (oracle_blocks)
 with the engine's.  On the character's odd-degree slice the sum is finite: a
-term's total displacement raises its odd degree (_slice), so the relocations
-within the displacement budget m*n give the exact sum in one enumeration, and
-a window restricts only its final expansion (oracle_char).  Each relocation
-goes straight to its Kac coordinate chi + rho, read off its values and the
-core symbols without building its image diagram or weight.  The signed Kac
+term's total displacement raises its odd degree (charring._slice), so the
+relocations within the displacement budget m*n give the exact sum in one
+enumeration, and a window restricts only its final expansion (oracle_char).
+Each relocation goes straight to its Kac coordinate chi + rho, read off its
+values and the core symbols without building its image diagram or weight.  The signed Kac
 characters are summed by running the alternation tail the engine and the
 lattice route share once on the merged Kac coordinates.  This route takes
 its nesting order from the caps directly, so it checks the caps and the
@@ -18,9 +18,9 @@ fully expanded product by `verify --only kac`.
 
 A second route sums plain alternants over the lattice points of the nesting
 forest's order polyhedron, the polyhedron whose vertex cones capgraph.theta
-sums; by Brion's theorem the two must agree, so this route checks the stage
-from the forest onward.  The two routes carry independently coded sign
-conventions.
+sums, within the same budget; by Brion's theorem the two must agree, so this
+route checks the stage from the forest onward.  The two routes carry
+independently coded sign conventions.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ from .charring import (
     _acc,
     _expand_blocks,
     _fold,
+    _slice,
     _tail_blocks,
 )
-from .latticegen import enumerate_lattice, polyhedron_of_forest
+from .latticegen import enumerate_lattice
 from .weights import CROSS, GREATER, LESS, WeightDiagram, position_exponents
 
 
@@ -56,21 +57,19 @@ class WeightMap:
         return WeightDiagram(symbols)
 
 
-def enumerate_weight_maps(f: WeightDiagram, cutoff: int,
-                          budget: int | None = None) -> list[WeightMap]:
-    """All relocations with every value >= cutoff and, given a budget, total
-    displacement sum(c - x) <= budget, depth-first over the crosses in
-    increasing position order.
+def enumerate_weight_maps(f: WeightDiagram, budget: int) -> list[WeightMap]:
+    """All relocations with total displacement sum(c - x) <= budget,
+    depth-first over the crosses in increasing position order.
 
     Constraints: values never exceed their cross, respect the cap-nesting
-    order strictly, avoid each other and every core position.  A cross
-    can always stay put (the crosses before it end below it, their values
-    too), so the budget bounds each value below by c - (budget - spent)
-    without a dead end: the list is the unbudgeted one, filtered.
+    order strictly, avoid each other and every core position.  Every cross
+    spends c - x >= 0, so the budget bounds each value below by
+    c - (budget - spent).  A cross can always stay put (the crosses before
+    it end below it, their values too), so the descent meets no dead end.
     """
+    if budget < 0:
+        raise ValueError("the displacement budget must not be negative")
     crosses = f.crosses
-    if crosses and cutoff > min(crosses):
-        raise ValueError("cutoff must not exceed the smallest cross")
     cf = cap_diagram(f)
     cores = set(f.core_positions)
     ancestors: dict[int, list[int]] = {
@@ -84,7 +83,7 @@ def enumerate_weight_maps(f: WeightDiagram, cutoff: int,
             out.append(WeightMap(dict(chosen)))
             return
         c = crosses[k]
-        lo = cutoff if budget is None else max(cutoff, c - (budget - spent))
+        lo = c - (budget - spent)
         for a in ancestors[c]:
             lo = max(lo, chosen[a] + 1)
         used = set(chosen.values())
@@ -114,28 +113,6 @@ def epsilon_sign(f: WeightDiagram, wm: WeightMap) -> int:
     return -1 if total % 2 else 1
 
 
-def _slice(f: WeightDiagram) -> tuple[int, int, int]:
-    """(slice_lo, slice_hi, cutoff): the odd-degree slice of ch L(f) and the
-    one cutoff of both oracle routes, which is exact for every window.
-
-    slice_lo = -sum(crosses and '<' positions) is the odd degree of chi +
-    rho, and slice_hi = slice_lo + m*n; L(f) is a quotient of its Kac
-    module, so its character lives in the slice.  Each route moves every
-    cross c to a value x <= c, and its term (a relocation's Kac coordinate,
-    a lattice point's alternant) has odd degree slice_lo + sum(c - x), which
-    Q only raises.  So a term with sum(c - x) > m*n ends above slice_hi:
-    the relocations within the displacement budget m*n give the whole sum
-    on the slice (oracle_blocks).  The budget implies the cutoff: c - x <=
-    m*n makes x >= c - m*n >= min(crosses) - m*n = cutoff, so the terms
-    with every value at or above the cutoff include them all (the lattice
-    route, which enumerates by cutoff).  Without crosses the cutoff is
-    -m*n, and nothing moves.
-    """
-    mn = f.m * f.n
-    slice_lo = -sum(f.crosses) - sum(f.less_positions)
-    return slice_lo, slice_lo + mn, (min(f.crosses) if f.crosses else 0) - mn
-
-
 def oracle_blocks(f: WeightDiagram) -> dict[tuple[int, ...], int]:
     """The g0 blocks of L(f) from the signed sum of Kac characters over all
     relocations within the displacement budget m*n (_slice), on the
@@ -147,15 +124,14 @@ def oracle_blocks(f: WeightDiagram) -> dict[tuple[int, ...], int]:
     on the merged Kac coordinates.
     """
     m, n = f.m, f.n
-    slice_lo, slice_hi, cutoff = _slice(f)
     greater, less = f.greater_positions, f.less_positions
     coeffs: dict[tuple[int, ...], int] = {}
-    for wm in enumerate_weight_maps(f, cutoff, m * n):
+    for wm in enumerate_weight_maps(f, m * n):
         values = tuple(wm.phi.values())
         omega = (tuple(sorted(values + greater, reverse=True))
                  + tuple(-b for b in sorted(values + less)))
         _acc(coeffs, omega, epsilon_sign(f, wm))
-    return _tail_blocks(m, n, coeffs, slice_lo, slice_hi)
+    return _tail_blocks(m, n, coeffs, *_slice(f))
 
 
 def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
@@ -166,35 +142,34 @@ def oracle_char(f: WeightDiagram, window: Window) -> CharPoly:
 
 def oracle_char_lattice(f: WeightDiagram, window: Window) -> CharPoly:
     """Second oracle route: sum plain alternants over the lattice points x of
-    the nesting forest's order polyhedron (polyhedron_of_forest), signed by
-    the position sums, then divide by the normalized denominator.  J
-    commutes with multiplying by the W0-invariant Q and the slice is
-    W0-stable, so J(sum * Q) = J(fold(sum) * Q): the shared tail
-    (_tail_blocks) gets the sum folded onto Kac coordinates, and its g0
-    blocks are expanded once, restricted to the window (_expand_blocks).
-    Sign conventions are coded independently of epsilon_sign.
+    the nesting forest's order polyhedron within the displacement budget
+    m*n (enumerate_lattice), signed by the position sums, then divide by
+    the normalized denominator.  J commutes with multiplying by the
+    W0-invariant Q and the slice is W0-stable, so J(sum * Q) =
+    J(fold(sum) * Q): the shared tail (_tail_blocks) gets the sum folded
+    onto Kac coordinates, and its g0 blocks are expanded once, restricted
+    to the window (_expand_blocks).  Sign conventions are coded
+    independently of epsilon_sign.
 
     Each position's exponent vector (position_exponents) is weighted by its
     coordinate: a cross by x, a core symbol by its own position, which gives
-    one constant shift.  The slice and the cutoff are oracle_blocks'
-    (_slice); a point's odd degree is slice_lo + sum(c - x), and the points
-    that end above slice_hi are dropped before the fold."""
+    one constant shift.  A point's odd degree is slice_lo + sum(c - x), so
+    the budget keeps exactly the points that do not end above the slice
+    (_slice)."""
     m, n = f.m, f.n
     exps = position_exponents(f)
     cross_vecs = [exps[c] for c in f.crosses]
     shift = [sum(p * exps[p][t] for p in f.core_positions) for t in range(m + n)]
-    slice_lo, slice_hi, cutoff = _slice(f)
 
     sign_f = -1 if sum(f.crosses) % 2 else 1
     terms = []
-    for x in enumerate_lattice(polyhedron_of_forest(gamma(cap_diagram(f))), cutoff):
+    for x in enumerate_lattice(gamma(cap_diagram(f)), m * n):
         vec = list(shift)
         for xi, v in zip(x, cross_vecs):
             for t in range(m + n):
                 vec[t] += xi * v[t]
-        if sum(vec[m:]) <= slice_hi:
-            terms.append((tuple(vec), sign_f * (-1 if sum(x) % 2 else 1)))
-    blocks = _tail_blocks(m, n, _fold(m, terms), slice_lo, slice_hi)
+        terms.append((tuple(vec), sign_f * (-1 if sum(x) % 2 else 1)))
+    blocks = _tail_blocks(m, n, _fold(m, terms), *_slice(f))
     return _expand_blocks(m, n, blocks, window)
 
 
@@ -252,6 +227,13 @@ def orthogonality_report(window: tuple[int, int], m: int, n: int,
     nonzero; every other family column pairs to 0.  So row f passes exactly
     when that sum is {f: 1}, the same test as pairing f with every column,
     at a cost linear in the nonzero counts reached.
+
+    Each column g's relocations are enumerated within the displacement
+    budget sum(c - lo) over its crosses c.  That holds every relocation
+    with all values >= lo, which spends at most c - lo per cross.  Any other
+    moves a cross below lo, so its image h leaves the window; an interior
+    row reads cols[h] only for the members h of its projective family, which
+    all lie in the window, so no interior row reads such a column.
     """
     lo, hi = window
     family = _diagram_family(window, m, n, r_max)
@@ -262,7 +244,7 @@ def orthogonality_report(window: tuple[int, int], m: int, n: int,
 
     cols: dict[WeightDiagram, dict[WeightDiagram, int]] = {}
     for g in family:
-        for wm in enumerate_weight_maps(g, lo):
+        for wm in enumerate_weight_maps(g, sum(c - lo for c in g.crosses)):
             _acc(cols.setdefault(wm.image_diagram(g), {}), g, epsilon_sign(g, wm))
 
     order = {g: k for k, g in enumerate(family)}

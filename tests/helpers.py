@@ -62,7 +62,6 @@ from superchar.charring import (
     odd_positive_roots,
     q_odd_product,
 )
-from superchar.latticegen import enumerate_lattice, polyhedron_of_forest
 from superchar.weights import (
     CROSS,
     GREATER,
@@ -406,6 +405,15 @@ def blocks_by_binomials(m, n, num, alphas):
     return _fold(m, terms.items())
 
 
+def maps_down_to(f: WeightDiagram, cutoff: int) -> list:
+    """The relocations of f with every value >= cutoff, in enumeration order:
+    the budget sum(c - cutoff) over the crosses holds them all, and the
+    budgeted list is filtered by value."""
+    budget = sum(c - cutoff for c in f.crosses)
+    return [wm for wm in oracle.enumerate_weight_maps(f, budget)
+            if all(x >= cutoff for x in wm.phi.values())]
+
+
 def kac_coordinates_by_relocations(f: WeightDiagram) -> dict:
     """The Su-Zhang Kac coordinates of L(f): every relocation with values
     down to min(crosses) - m*n, each giving its image diagram's chi + rho
@@ -414,7 +422,7 @@ def kac_coordinates_by_relocations(f: WeightDiagram) -> dict:
     end above the slice."""
     cutoff = (min(f.crosses) if f.crosses else 0) - f.m * f.n
     coords: dict = {}
-    for wm in oracle.enumerate_weight_maps(f, cutoff):
+    for wm in maps_down_to(f, cutoff):
         omega = chi_plus_rho_exponent(weight_from_diagram(wm.image_diagram(f)))
         _acc(coords, omega, oracle.epsilon_sign(f, wm))
     return coords
@@ -436,8 +444,9 @@ def kac_coordinates_by_lattice(f: WeightDiagram) -> dict:
                 + tuple(-b for b in tuple(x) + f.less_positions))
 
     [top_sign] = _fold(m, [(term(forest.labels), 1)]).values()
+    points = brute_lattice_points(forest.labels, forest.edges, cutoff)
     return _fold(m, ((term(x), top_sign * (-1) ** (sum(forest.labels) - sum(x)))
-                     for x in enumerate_lattice(polyhedron_of_forest(forest), cutoff)))
+                     for x in points))
 
 
 def core_strip(f: WeightDiagram) -> tuple[WeightDiagram, dict[int, int]]:
@@ -467,7 +476,7 @@ def orthogonality_dense(window, m, n, r_max):
     b_rows = {}
     for g in family:
         row = {}
-        for wm in oracle.enumerate_weight_maps(g, lo):
+        for wm in maps_down_to(g, lo):
             h = wm.image_diagram(g)
             row[h] = row.get(h, 0) + oracle.epsilon_sign(g, wm)
         b_rows[g] = row

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from superchar.caps import cap_diagram, projective_family, render_caps, segment_data
 from superchar.weights import CROSS, GREATER, LESS, WeightDiagram
 
@@ -132,3 +134,21 @@ def test_render_caps_deterministic():
     assert any("x" in line for line in lines)
     assert any("." in line for line in lines)
     assert len([line for line in lines if "." in line and "-" in line]) == 2
+
+
+@pytest.mark.parametrize("symbols", [
+    {-11: CROSS, -10: LESS, -9: GREATER},
+    {99: CROSS, 100: LESS, 101: GREATER},
+    {0: CROSS, 1: CROSS, 3: CROSS},
+], ids=str)
+def test_render_caps_labels_split_back_into_positions(symbols):
+    # every label keeps a space after it, and each symbol sits where its
+    # position's label starts
+    *_, sym_row, label_row = render_caps(WeightDiagram(symbols)).splitlines()
+    labels = label_row.split()
+    assert labels == [str(p) for p in range(int(labels[0]), int(labels[-1]) + 1)]
+    assert int(labels[0]) < min(symbols) and max(symbols) < int(labels[-1])
+    starts = [k for k, ch in enumerate(label_row)
+              if ch != " " and label_row[k - 1:k] in ("", " ")]
+    column = dict(zip(map(int, labels), starts))
+    assert all(sym_row[column[p]] == s for p, s in symbols.items())

@@ -349,6 +349,19 @@ def _exits_2_unrecognized(capsys, argv, rest):
     return err
 
 
+@pytest.mark.parametrize("command", ["kac", "diagram", "proj"])
+def test_latex_refused_where_it_prints_nothing_else(capsys, command):
+    # only char and theta have a LaTeX form; the other weight commands
+    # accept text and json, and argparse refuses latex with exit 2
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--ab", "1:1", "--format", "latex"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"superchar {command}: error: argument --format: invalid choice: 'latex'" in err
+    assert "{text,json}" in err  # the usage line offers the two formats
+
+
 @pytest.mark.parametrize("depth", ["abc", "1.5"])
 def test_non_integer_depth_exits_2(capsys, depth):
     # no series is truncated, so --depth is not an option

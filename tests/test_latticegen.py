@@ -1,18 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from superchar.capgraph import Forest, _component_min_vertex, gamma, theta
 from superchar.caps import cap_diagram
-from superchar.latticegen import (
-    OrderPolyhedron,
-    chain_decomposition_report,
-    enumerate_lattice,
-    polyhedron_of_forest,
-)
+from superchar.latticegen import chain_decomposition_report, enumerate_lattice
 from superchar.weights import CROSS, GREATER, LESS, WeightDiagram
 
 from helpers import brute_lattice_points, random_diagram, stack_cap_ends
@@ -31,21 +26,24 @@ def theta_vertices(forest):
             for exps in theta(forest).terms}
 
 
+def within_budget(points, labels, budget):
+    return [x for x in points if sum(labels) - sum(x) <= budget]
+
+
 def active_constraints(forest, delta):
     """The bounds and edges of the forest's polyhedron that hold with
     equality at the vertex of its spanning subgraph delta."""
-    poly = polyhedron_of_forest(forest)
     mins = _component_min_vertex(delta)
-    point = tuple(delta.labels[mins[i]] for i in range(poly.dim))
-    assert poly.contains(point)
-    bounds = [(i, b) for i, b in sorted(poly.bounds.items()) if point[i] == b]
-    return bounds, sorted(e for e in poly.chain_edges if point[e[0]] == point[e[1]])
+    point = tuple(delta.labels[mins[i]] for i in range(len(forest.labels)))
+    assert point in enumerate_lattice(forest, sum(forest.labels) - sum(point))
+    bounds = [(i, c) for i, c in enumerate(forest.labels) if point[i] == c]
+    return bounds, sorted(e for e in forest.edges if point[e[0]] == point[e[1]])
 
 
 def test_vertices_gl33():
     points = theta_vertices(gl33_forest())
     assert points == {(0, 0, 0), (0, 1, 0), (0, 0, 3), (0, 1, 3)}
-    assert all(polyhedron_of_forest(gl33_forest()).contains(p) for p in points)
+    assert points <= set(enumerate_lattice(gl33_forest(), 4))
 
 
 def test_vertices_edgeless():
@@ -104,33 +102,22 @@ def test_cone_genfun_edgeless():
 
 
 def test_enumerate_lattice_interval():
-    poly = OrderPolyhedron(1, {0: 5}, frozenset())
-    assert enumerate_lattice(poly, 3) == [(3,), (4,), (5,)]
+    assert enumerate_lattice(Forest((5,), frozenset()), 2) == [(3,), (4,), (5,)]
 
 
 def test_enumerate_lattice_box_product():
-    poly = OrderPolyhedron(2, {0: 1, 1: 0}, frozenset())
-    points = enumerate_lattice(poly, -1)
-    assert points == sorted((a, b) for a in (-1, 0, 1) for b in (-1, 0))
+    # an edgeless forest's points: the box below its labels, cut by the budget
+    points = enumerate_lattice(Forest((0, 1), frozenset()), 2)
+    assert points == within_budget(product(range(-2, 1), range(-1, 2)), (0, 1), 2)
+    assert len(points) == 6
 
 
 def test_enumerate_lattice_gl33_against_brute():
     forest = gl33_forest()
-    poly = polyhedron_of_forest(forest)
-    got = enumerate_lattice(poly, -1)
-    expected = brute_lattice_points((0, 1, 3), [(0, 1), (0, 2)], -1)
-    assert got == expected
-    assert len(got) == 23
-
-
-def test_enumerate_lattice_empty_when_cutoff_beats_bound():
-    poly = OrderPolyhedron(1, {0: 2}, frozenset())
-    assert enumerate_lattice(poly, 3) == []
-
-
-def test_order_polyhedron_validation():
-    with pytest.raises(ValueError):
-        OrderPolyhedron(1, {}, frozenset())
+    got = enumerate_lattice(forest, 9)
+    expected = brute_lattice_points((0, 1, 3), [(0, 1), (0, 2)], -9)
+    assert got == within_budget(expected, (0, 1, 3), 9)
+    assert len(got) == 127
 
 
 def test_chain_decomposition_two_chain():
@@ -175,14 +162,15 @@ def _cored_diagrams(draw):
     return WeightDiagram(symbols)
 
 
-@given(_cored_diagrams(), st.integers(0, 2))
-def test_forest_polyhedron_points_match_all_nested_pairs(f, depth):
+@given(_cored_diagrams(), st.integers(0, 3))
+def test_forest_polyhedron_points_match_all_nested_pairs(f, budget):
     # the lattice oracle's polyhedron, read off the engine's covering forest,
-    # has the points of the order by every nested pair of stack-matched caps
+    # has the points of the order by every nested pair of stack-matched caps;
+    # within a budget they lie above min(crosses) - budget
     crosses = f.crosses
     ends = stack_cap_ends(f)
     nested = [(i, j) for i, a in enumerate(crosses) for j, b in enumerate(crosses)
               if a < b < ends[b] < ends[a]]
-    cutoff = min(crosses) - depth
-    got = enumerate_lattice(polyhedron_of_forest(gamma(cap_diagram(f))), cutoff)
-    assert got == brute_lattice_points(crosses, nested, cutoff)
+    got = enumerate_lattice(gamma(cap_diagram(f)), budget)
+    expected = brute_lattice_points(crosses, nested, min(crosses) - budget)
+    assert got == within_budget(expected, crosses, budget)

@@ -20,7 +20,7 @@ from superchar.charring import (
     irreducible_char,
     kac_char,
 )
-from superchar.latticegen import enumerate_lattice, polyhedron_of_forest
+from superchar.latticegen import enumerate_lattice
 from superchar.oracle import (
     WeightMap,
     enumerate_weight_maps,
@@ -46,6 +46,7 @@ from helpers import (
     dominant_weights,
     kac_coordinates_by_lattice,
     kac_coordinates_by_relocations,
+    maps_down_to,
     orthogonality_dense,
     random_diagram,
     restrict,
@@ -57,24 +58,27 @@ def crosses_only(*positions):
 
 
 def test_enumerate_single_cross():
-    maps = enumerate_weight_maps(crosses_only(0), -2)
+    maps = enumerate_weight_maps(crosses_only(0), 2)
     assert [wm.phi[0] for wm in maps] == [-2, -1, 0]
 
 
 def test_enumerate_nested_pair():
-    maps = enumerate_weight_maps(crosses_only(0, 1), -1)
+    maps = maps_down_to(crosses_only(0, 1), -1)
     assert sorted(tuple(sorted(wm.phi.items())) for wm in maps) == [
         (((0, -1), (1, 0))), (((0, -1), (1, 1))), (((0, 0), (1, 1)))]
 
 
-def test_enumerate_rejects_cutoff_above_min_cross():
+def test_enumerators_reject_a_negative_budget():
+    f = crosses_only(0, 1)
     with pytest.raises(ValueError):
-        enumerate_weight_maps(crosses_only(0, 1), 1)
+        enumerate_weight_maps(f, -1)
+    with pytest.raises(ValueError):
+        enumerate_lattice(gamma(cap_diagram(f)), -1)
 
 
 def test_enumerate_avoids_core_positions():
     f = WeightDiagram({0: CROSS, -1: GREATER})
-    maps = enumerate_weight_maps(f, -3)
+    maps = enumerate_weight_maps(f, 3)
     values = sorted(wm.phi[0] for wm in maps)
     assert values == [-3, -2, 0]  # -1 is occupied by the core symbol
 
@@ -95,16 +99,15 @@ def test_enumerate_budget_filters_the_plain_list(f):
     # the budget m*n oracle_char passes keeps exactly the relocations whose
     # total displacement reaches the odd-degree slice, in the same order
     mn = f.m * f.n
-    cutoff = min(f.crosses) - mn
-    plain = enumerate_weight_maps(f, cutoff)
+    plain = maps_down_to(f, min(f.crosses) - mn)
     within = [wm for wm in plain if sum(c - x for c, x in wm.phi.items()) <= mn]
-    assert enumerate_weight_maps(f, cutoff, mn) == within
+    assert enumerate_weight_maps(f, mn) == within
 
 
 def test_enumerate_matches_lattice_points_of_region():
-    # relocations with values above a cutoff correspond to the injective
-    # integer points of the nesting forest's polyhedron that avoid the cores
-    # and are strict along the forest edges
+    # relocations within a displacement budget correspond to the injective
+    # integer points of the nesting forest's polyhedron within it that avoid
+    # the cores and are strict along the forest edges
     rng = random.Random(67)
     diagrams = [crosses_only(0, 1, 3), crosses_only(0, 1, 2),
                 WeightDiagram({0: CROSS, 1: GREATER, 2: CROSS}),
@@ -113,12 +116,11 @@ def test_enumerate_matches_lattice_points_of_region():
     for f in diagrams:
         if not f.crosses:
             continue
-        cutoff = min(f.crosses) - 2
-        maps = enumerate_weight_maps(f, cutoff)
+        maps = enumerate_weight_maps(f, 4)
         forest = gamma(cap_diagram(f))
         cores = set(f.core_positions)
         points = [
-            x for x in enumerate_lattice(polyhedron_of_forest(forest), cutoff)
+            x for x in enumerate_lattice(forest, 4)
             if len(set(x)) == len(x) and not cores & set(x)
             and all(x[i] < x[j] for i, j in forest.edges)]
         got = sorted(tuple(wm.phi[c] for c in f.crosses) for wm in maps)
@@ -153,8 +155,7 @@ def test_epsilon_invariant_under_core_strip():
         if not f.crosses:
             continue
         stripped, reindex = core_strip(f)
-        cutoff = min(f.crosses) - 3
-        for wm in enumerate_weight_maps(f, cutoff):
+        for wm in maps_down_to(f, min(f.crosses) - 3):
             image = wm.image_diagram(f)
             _, image_reindex = core_strip(image)
             phi_sharp = {reindex[a]: image_reindex[b] for a, b in wm.phi.items()}
@@ -224,7 +225,7 @@ class _Captured(Exception):
     pass
 
 
-def _cutoff_cases():
+def _bound_cases():
     """Atypical weights of the verify grids and of gl(3|3), each with its
     hull window."""
     weights = [chi for (m, n) in [(1, 1), (2, 1), (2, 2)]
@@ -238,50 +239,66 @@ def _cutoff_cases():
 
 
 def test_relocations_below_cutoff_bound_miss_the_window(monkeypatch):
-    # the cutoff oracle_char would enumerate down to, and its budget
-    def capture(f, cutoff, budget):
-        assert budget == f.m * f.n
-        raise _Captured(cutoff)
+    # the budget oracle_char would enumerate within
+    def capture(f, budget):
+        raise _Captured(budget)
 
     monkeypatch.setattr(oracle_module, "enumerate_weight_maps", capture)
-    below = 0
-    for chi, f, window in _cutoff_cases():
+    over = 0
+    for chi, f, window in _bound_cases():
         with pytest.raises(_Captured) as info:
             oracle_char(f, window)
-        [bound] = info.value.args
-        assert bound == min(f.crosses) - f.m * f.n, chi
+        [budget] = info.value.args
+        assert budget == f.m * f.n, chi
         # the character's odd degrees end m*n above the odd degree of chi + rho
-        slice_hi = sum(chi_plus_rho_exponent(chi)[f.m:]) + f.m * f.n
-        for wm in enumerate_weight_maps(f, bound - 3):
-            if min(wm.phi.values()) < bound:
-                below += 1
+        slice_hi = sum(chi_plus_rho_exponent(chi)[f.m:]) + budget
+        for wm in enumerate_weight_maps(f, budget + 3):
+            if sum(c - x for c, x in wm.phi.items()) > budget:
+                over += 1
                 omega = chi_plus_rho_exponent(weight_from_diagram(wm.image_diagram(f)))
                 assert sum(omega[f.m:]) > slice_hi, (chi, wm)
-    assert below  # the enumeration at bound - 3 does reach below the bound
+    assert over  # the enumeration within budget + 3 does reach over the budget
 
 
 def test_lattice_points_below_default_cutoff_leave_the_slice(monkeypatch):
-    # the order polyhedron and cutoff oracle_char_lattice would enumerate
-    def capture(poly, cutoff):
-        raise _Captured(poly, cutoff)
+    # the forest and budget oracle_char_lattice would enumerate
+    def capture(forest, budget):
+        raise _Captured(forest, budget)
 
     monkeypatch.setattr(oracle_module, "enumerate_lattice", capture)
-    below = 0
-    for chi, f, window in _cutoff_cases():
+    over = 0
+    for chi, f, window in _bound_cases():
         with pytest.raises(_Captured) as info:
             oracle_char_lattice(f, window)
-        poly, default = info.value.args
-        assert poly == polyhedron_of_forest(gamma(cap_diagram(f))), chi
-        assert default == min(f.crosses) - f.m * f.n, chi
+        forest, budget = info.value.args
+        assert forest == gamma(cap_diagram(f)), chi
+        assert budget == f.m * f.n, chi
         # a point's odd degree is -sum('<' positions) - sum(x); the slice
         # ends m*n above its value at the crosses themselves
         less_sum = sum(f.less_positions)
-        slice_hi = -less_sum - sum(f.crosses) + f.m * f.n
-        for x in enumerate_lattice(poly, default - 3):
-            if min(x) < default:
-                below += 1
+        slice_hi = -less_sum - sum(f.crosses) + budget
+        for x in enumerate_lattice(forest, budget + 3):
+            if sum(f.crosses) - sum(x) > budget:
+                over += 1
                 assert -less_sum - sum(x) > slice_hi, (chi, x)
-    assert below  # the enumeration at default - 3 does reach below the default
+    assert over  # the enumeration within budget + 3 does reach over the budget
+
+
+def test_lattice_route_enumerates_only_the_budget_on_gl44_trivial(monkeypatch):
+    # the lattice route hands on the points within displacement m*n = 16
+    # only; down to the cutoff min(crosses) - m*n it would be 8,602
+    counts = []
+
+    def counting(forest, budget):
+        points = enumerate_lattice(forest, budget)
+        counts.append(len(points))
+        return points
+
+    monkeypatch.setattr(oracle_module, "enumerate_lattice", counting)
+    chi = HighestWeight(4, 4, (0, 0, 0, 0), (0, 0, 0, 0))
+    ch = irreducible_char(chi)
+    assert oracle_char_lattice(diagram_of_weight(chi), Window.hull(ch, margin=1)) == ch
+    assert counts == [785]
 
 
 def test_oracle_agrees_with_engine_on_grid():
@@ -413,8 +430,7 @@ def test_signed_alternant_identity_per_relocation():
         m, n = f.m, f.n
         exps = position_exponents(f)
         positions = f.positions()
-        cutoff = min(f.crosses) - 2
-        for wm in enumerate_weight_maps(f, cutoff):
+        for wm in maps_down_to(f, min(f.crosses) - 2):
             g = wm.image_diagram(f)
             omega = chi_plus_rho_exponent(weight_from_diagram(g))
             lhs = alt_J(CharPoly.monomial(m, n, omega))
@@ -447,13 +463,16 @@ def test_orthogonality_report_details():
 def test_orthogonality_diagonal_entries():
     # identity relocation and the empty swap give the diagonal ones
     f = crosses_only(2)
-    maps = enumerate_weight_maps(f, 0)
+    maps = enumerate_weight_maps(f, 2)
     identity = [wm for wm in maps if wm.phi == {2: 2}]
     assert len(identity) == 1
     assert epsilon_sign(f, identity[0]) == 1
 
 
-ORTHOGONALITY_WINDOWS = [((0, 5), 1, 1, 1), ((0, 6), 2, 2, 2)]
+# the two windows of `verify --only orthogonality`, then gl(2|1) and gl(3|2):
+# the report's budgeted relocations against the dense route's by-value ones
+ORTHOGONALITY_WINDOWS = [((0, 5), 1, 1, 1), ((0, 6), 2, 2, 2),
+                         ((-1, 5), 2, 1, 1), ((0, 5), 3, 2, 2)]
 
 
 def _flip_signs(monkeypatch, flipped, identity_too):

@@ -79,3 +79,18 @@ def test_no_assert_in_src():
                      for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, ast.Assert))
     assert asserts == []
+
+
+def test_one_slice_and_no_cutoff():
+    # every oracle enumeration is bounded by the displacement budget the
+    # character's odd-degree slice sets, and charring alone computes that
+    # slice: no variable or argument is a cutoff
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    cutoffs = sorted(f"{stem}:{node.lineno}" for stem, tree in trees.items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and node.id == "cutoff"
+                     or isinstance(node, ast.arg) and node.arg == "cutoff")
+    assert cutoffs == []
+    slices = sorted(stem for stem, tree in trees.items() for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "_slice")
+    assert slices == ["charring"]
